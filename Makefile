@@ -10,7 +10,7 @@ CARGO ?= cargo
 BENCH_SMOKE_JSONL := target/bench-smoke.jsonl
 BENCH_RESULTS := target/BENCH_results.json
 
-.PHONY: all build test bench bench-run bench-smoke batch-smoke serve-smoke shard-smoke scale-smoke sim-equiv table-equiv doc lint fmt ci clean
+.PHONY: all build test bench bench-run bench-smoke batch-smoke serve-smoke shard-smoke scale-smoke sim-equiv table-equiv perfbench-test doc lint fmt ci clean
 
 all: build
 
@@ -79,14 +79,14 @@ shard-smoke: build
 scale-smoke: build
 	sh scripts/scale_smoke.sh target/release/sunmap target/scale-smoke
 
-## Deep-run the three-way engine equivalence suite (reference == flat
-## == event-driven, bit for bit). SIM_EQUIV_CASES=N adds N extra
-## injection rates per scenario on top of the committed ones; raise it
-## for a longer soak (CI runs the default via `make test`).
+## Deep-run the engine equivalence suite (reference == event-driven,
+## bit for bit). SIM_EQUIV_CASES=N adds N extra injection rates per
+## scenario on top of the committed ones; raise it for a longer soak
+## (CI runs the default via `make test`).
 SIM_EQUIV_CASES ?= 4
 sim-equiv:
 	SIM_EQUIV_CASES=$(SIM_EQUIV_CASES) $(CARGO) test --locked -p sunmap-sim \
-		--test flat_equivalence -- --nocapture
+		--test engine_equivalence -- --nocapture
 
 ## Deep-run the route-table preparation equivalence suite (lazy ==
 ## closed-form == eager, bit for bit). TABLE_EQUIV_CASES=N soaks N
@@ -96,6 +96,14 @@ TABLE_EQUIV_CASES ?= 4
 table-equiv:
 	TABLE_EQUIV_CASES=$(TABLE_EQUIV_CASES) $(CARGO) test --locked -p sunmap-mapping \
 		--test table_prep_equivalence -- --nocapture
+
+## Build and test the benchmark package (perfbench/, its own Cargo
+## workspace) against the current crates, then its result comparer:
+## nothing else compiles the benchmark, so a public name it uses that
+## goes missing fails here rather than in the benchmark run.
+perfbench-test:
+	$(CARGO) test --release --locked --manifest-path perfbench/Cargo.toml
+	python3 perfbench/test_compare.py
 
 ## Build API docs for every workspace crate with rustdoc warnings as
 ## hard errors (broken intra-doc links rot fast otherwise).
@@ -120,7 +128,7 @@ fmt:
 	$(CARGO) fmt --all
 
 ## Everything CI gates on, in CI's order.
-ci: lint build test doc bench bench-smoke batch-smoke serve-smoke shard-smoke scale-smoke
+ci: lint build test perfbench-test doc bench bench-smoke batch-smoke serve-smoke shard-smoke scale-smoke
 
 clean:
 	$(CARGO) clean

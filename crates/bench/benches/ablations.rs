@@ -1,4 +1,4 @@
-//! Ablation studies for the design choices DESIGN.md calls out.
+//! Ablation studies for the mapper's main design choices.
 //!
 //! 1. **Quadrant graphs** (paper §4.1: "large computational time
 //!    savings ... as the number of nodes in a quadrant graph is much

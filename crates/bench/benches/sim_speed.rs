@@ -1,21 +1,20 @@
-//! `sim_speed`: throughput of the indexed simulation engines in
+//! `sim_speed`: throughput of the event-driven production engine in
 //! simulated cycles per second and delivered flits per second,
 //! benchmarked against the pre-rebuild reference engine
 //! (`sunmap::sim::reference`).
 //!
 //! The headline configuration is the acceptance one — a 4×4 mesh under
-//! uniform traffic at 0.05 flits/cycle/terminal — plus a loaded torus,
-//! a trace-driven VOPD replay and a low-load tier comparing the flat
-//! and event-driven engines on a 4×4 and a 16×16 mesh. All engines
-//! produce bit-identical `LatencyStats` (enforced by
-//! `crates/sim/tests/flat_equivalence.rs`), so every row here times the
-//! production of the same result.
+//! uniform traffic at 0.05 flits/cycle/terminal — plus a loaded torus
+//! and a trace-driven VOPD replay. Both engines produce bit-identical
+//! `LatencyStats` (enforced by
+//! `crates/sim/tests/engine_equivalence.rs`), so every row here times
+//! the production of the same result.
 //!
 //! Two throughput metrics are reported, because they answer different
 //! questions:
 //!
 //! * **same-simulation** (default config): wall-clock to complete the
-//!   standard 11k-cycle simulation. The flat engine legitimately stops
+//!   standard 11k-cycle simulation. The event engine legitimately stops
 //!   early once the post-injection network is provably empty (the
 //!   remaining drain cycles cannot change any statistic), so this
 //!   ratio credits both per-cycle speed *and* the skipped dead tail.
@@ -68,18 +67,18 @@ fn bench_synthetic(c: &mut Criterion) {
     let mut group = c.benchmark_group("sim_speed");
     group.sample_size(10);
 
-    let mut flat_mesh = session(&mesh, config, SimEngine::Flat);
-    group.bench_function("flat/mesh4x4_uniform_0.05", |b| {
-        b.iter(|| flat_mesh.run_synthetic(&TrafficPattern::UniformRandom, 0.05))
+    let mut event_mesh = session(&mesh, config, SimEngine::EventDriven);
+    group.bench_function("event/mesh4x4_uniform_0.05", |b| {
+        b.iter(|| event_mesh.run_synthetic(&TrafficPattern::UniformRandom, 0.05))
     });
     let mut ref_mesh = session(&mesh, config, SimEngine::Reference);
     group.bench_function("reference/mesh4x4_uniform_0.05", |b| {
         b.iter(|| ref_mesh.run_synthetic(&TrafficPattern::UniformRandom, 0.05))
     });
 
-    let mut flat_torus = session(&torus, config, SimEngine::Flat);
-    group.bench_function("flat/torus4x4_tornado_0.30", |b| {
-        b.iter(|| flat_torus.run_synthetic(&TrafficPattern::Tornado, 0.30))
+    let mut event_torus = session(&torus, config, SimEngine::EventDriven);
+    group.bench_function("event/torus4x4_tornado_0.30", |b| {
+        b.iter(|| event_torus.run_synthetic(&TrafficPattern::Tornado, 0.30))
     });
     let mut ref_torus = session(&torus, config, SimEngine::Reference);
     group.bench_function("reference/torus4x4_tornado_0.30", |b| {
@@ -89,8 +88,8 @@ fn bench_synthetic(c: &mut Criterion) {
 
     // The acceptance numbers, in engine-meaningful units (see the
     // module docs for the two metrics).
-    let flat_s = median_secs(5, || {
-        flat_mesh.run_synthetic(&TrafficPattern::UniformRandom, 0.05);
+    let event_s = median_secs(5, || {
+        event_mesh.run_synthetic(&TrafficPattern::UniformRandom, 0.05);
     });
     let ref_s = median_secs(5, || {
         ref_mesh.run_synthetic(&TrafficPattern::UniformRandom, 0.05);
@@ -102,13 +101,13 @@ fn bench_synthetic(c: &mut Criterion) {
         ..config
     };
     let pc_cycles = nominal_cycles(&pc_config) as f64;
-    let mut flat_pc = session(&mesh, pc_config, SimEngine::Flat);
+    let mut event_pc = session(&mesh, pc_config, SimEngine::EventDriven);
     let mut ref_pc = session(&mesh, pc_config, SimEngine::Reference);
-    let stats = flat_pc.run_synthetic(&TrafficPattern::UniformRandom, 0.05);
+    let stats = event_pc.run_synthetic(&TrafficPattern::UniformRandom, 0.05);
     let flits = (stats.packets_delivered * pc_config.packet_flits) as f64;
     ref_pc.run_synthetic(&TrafficPattern::UniformRandom, 0.05);
-    let flat_pc_s = median_secs(5, || {
-        flat_pc.run_synthetic(&TrafficPattern::UniformRandom, 0.05);
+    let event_pc_s = median_secs(5, || {
+        event_pc.run_synthetic(&TrafficPattern::UniformRandom, 0.05);
     });
     let ref_pc_s = median_secs(5, || {
         ref_pc.run_synthetic(&TrafficPattern::UniformRandom, 0.05);
@@ -116,71 +115,21 @@ fn bench_synthetic(c: &mut Criterion) {
     println!(
         "sim_speed summary (mesh 4x4, uniform, 0.05 flits/cy/term):\n\
            per-cycle (drain-free, identical cycle counts):\n\
-             flat      {:>12.0} cycles/s {:>12.0} flits/s\n\
+             event     {:>12.0} cycles/s {:>12.0} flits/s\n\
              reference {:>12.0} cycles/s {:>12.0} flits/s\n\
              speedup   {:>11.2}x\n\
-           same-simulation (default config; flat skips the provably\n\
+           same-simulation (default config; event skips the provably\n\
            empty drain tail):\n\
              speedup   {:>11.2}x  ({:.2} ms vs {:.2} ms per run)",
-        pc_cycles / flat_pc_s,
-        flits / flat_pc_s,
+        pc_cycles / event_pc_s,
+        flits / event_pc_s,
         pc_cycles / ref_pc_s,
         flits / ref_pc_s,
-        ref_pc_s / flat_pc_s,
-        ref_s / flat_s,
-        flat_s * 1e3,
+        ref_pc_s / event_pc_s,
+        ref_s / event_s,
+        event_s * 1e3,
         ref_s * 1e3,
     );
-}
-
-/// Low-load tier: the regime the event-driven engine exists for. At
-/// 0.01–0.05 flits/cycle/terminal most routers idle most cycles, so
-/// the active-set walk beats the flat engine's full edge scan — and
-/// the gap should widen with network size (4×4 → 16×16). Reported as
-/// ratios, not asserted: absolute wall-clock is machine-dependent.
-fn bench_low_load(c: &mut Criterion) {
-    let config = SimConfig::default();
-    let small = builders::mesh(4, 4, 500.0).unwrap();
-    let large = builders::mesh(16, 16, 500.0).unwrap();
-    let grids: [(&str, &TopologyGraph); 2] = [("mesh4x4", &small), ("mesh16x16", &large)];
-    let rates = [0.01, 0.05];
-
-    let mut group = c.benchmark_group("sim_speed_low_load");
-    group.sample_size(10);
-    for (name, g) in grids {
-        for rate in rates {
-            for engine in [SimEngine::Flat, SimEngine::EventDriven] {
-                let mut s = session(g, config, engine);
-                let id = format!("{}/{name}_uniform_{rate:.2}", engine.name());
-                group.bench_function(&id, |b| {
-                    b.iter(|| s.run_synthetic(&TrafficPattern::UniformRandom, rate))
-                });
-            }
-        }
-    }
-    group.finish();
-
-    let cycles = nominal_cycles(&config) as f64;
-    println!("sim_speed low-load summary (uniform, same-simulation cycles/s):");
-    for (name, g) in grids {
-        for rate in rates {
-            let time = |engine: SimEngine| {
-                let mut s = session(g, config, engine);
-                s.run_synthetic(&TrafficPattern::UniformRandom, rate);
-                median_secs(3, || {
-                    s.run_synthetic(&TrafficPattern::UniformRandom, rate);
-                })
-            };
-            let flat_s = time(SimEngine::Flat);
-            let event_s = time(SimEngine::EventDriven);
-            println!(
-                "  {name:<10} rate {rate:.2}: flat {:>12.0}  event {:>12.0}  event/flat {:>6.2}x",
-                cycles / flat_s,
-                cycles / event_s,
-                flat_s / event_s,
-            );
-        }
-    }
 }
 
 fn bench_trace(c: &mut Criterion) {
@@ -193,9 +142,9 @@ fn bench_trace(c: &mut Criterion) {
 
     let mut group = c.benchmark_group("sim_speed");
     group.sample_size(10);
-    let mut flat = session(&g, config, SimEngine::Flat);
-    group.bench_function("flat/trace_vopd_mesh3x4_0.35", |b| {
-        b.iter(|| flat.run_trace(mapping.evaluation(), &app, 0.35))
+    let mut event = session(&g, config, SimEngine::EventDriven);
+    group.bench_function("event/trace_vopd_mesh3x4_0.35", |b| {
+        b.iter(|| event.run_trace(mapping.evaluation(), &app, 0.35))
     });
     let mut old = session(&g, config, SimEngine::Reference);
     group.bench_function("reference/trace_vopd_mesh3x4_0.35", |b| {
@@ -204,5 +153,5 @@ fn bench_trace(c: &mut Criterion) {
     group.finish();
 }
 
-criterion_group!(sim_speed, bench_synthetic, bench_low_load, bench_trace);
+criterion_group!(sim_speed, bench_synthetic, bench_trace);
 criterion_main!(sim_speed);

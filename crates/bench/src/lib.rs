@@ -3,9 +3,7 @@
 //! Every bench target under `benches/` regenerates one table or figure
 //! of the DAC 2004 paper: it prints the paper-matching rows/series to
 //! stdout and then measures its computational kernel with Criterion.
-//! The mapping from paper artifact to bench target is indexed in
-//! `DESIGN.md` §5; measured-vs-paper values are recorded in
-//! `EXPERIMENTS.md`.
+//! Each target's module docs name the paper artifact it regenerates.
 
 use sunmap::mapping::CostReport;
 use sunmap::traffic::CoreGraph;

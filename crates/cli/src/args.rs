@@ -196,10 +196,10 @@ options:
   --swap <s>            auto|exhaustive|delta (default auto; explore --json
                         and client explore)
   --engine <e>          simulation engine: auto|flat|event|reference
-                        (default auto: event-driven below load 0.15, flat
-                        above; all engines are bit-identical — this is a
-                        speed knob for simulate/sweep/explore --validate
-                        and probes)
+                        (default auto; auto, flat and event all run the
+                        event-driven engine, reference the slow oracle it
+                        is bit-identical to; applies to simulate/sweep/
+                        explore --validate and probes)
   --table-prep <p>      route-table preparation: auto|eager|lazy|closed-form
                         (default auto: eager up to 64 mappable vertices,
                         closed-form/lazy above; all variants answer

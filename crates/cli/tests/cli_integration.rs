@@ -6,6 +6,7 @@ mod common;
 
 use std::fs;
 use std::path::PathBuf;
+use std::process::{Command, Stdio};
 
 use common::{sunmap, temp_dir, Json, Parser};
 
@@ -436,4 +437,21 @@ fn help_prints_usage() {
     let stdout = String::from_utf8(out.stdout).unwrap();
     assert!(stdout.contains("usage: sunmap"));
     assert!(stdout.contains("design-sweep"));
+}
+
+#[test]
+fn closed_stdout_ends_the_process_without_a_panic() {
+    // The reader closes its end before the binary prints its table,
+    // like `sunmap explore vopd | head -0`: every write then fails.
+    let mut child = Command::new(env!("CARGO_BIN_EXE_sunmap"))
+        .args(["explore", "vopd"])
+        .stdout(Stdio::piped())
+        .stderr(Stdio::piped())
+        .spawn()
+        .expect("binary runs");
+    drop(child.stdout.take());
+    let out = child.wait_with_output().expect("binary exits");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(!stderr.contains("panicked"), "{stderr}");
+    assert_ne!(out.status.code(), Some(101), "{stderr}");
 }

@@ -142,9 +142,9 @@ pub struct BatchManifest {
     /// only how fast the sweep finds them).
     pub swap: Option<SwapStrategy>,
     /// Simulation engine applied to every job's probe (default `auto`;
-    /// not part of the job id — all engines are bit-identical, so it
-    /// never changes a job's measured numbers, only how fast the probe
-    /// runs).
+    /// not part of the job id — `auto`, `flat` and `event` all run the
+    /// event engine and `reference` is bit-identical to it, so it never
+    /// changes a job's measured numbers, only how fast the probe runs).
     pub engine: Option<SimEngine>,
     /// Route-table preparation applied to every job (default `auto`;
     /// not part of the job id — every variant answers queries
@@ -847,16 +847,17 @@ capacity 1000
         assert!(line.contains("\"sim\":{\"pattern\":\"uniform\""), "{line}");
         assert!(line.contains("\"probes\":[{\"rank\":1,"), "{line}");
         assert!(line.contains("\"rank\":3"), "{line}");
-        assert!(line.contains("\"engine\":\"flat\""), "{line}");
+        // A probe names the engine that ran: `flat` resolves to `event`.
+        assert!(line.contains("\"engine\":\"event\""), "{line}");
         assert!(line.contains("\"analytical_latency_cycles\":"), "{line}");
         assert!(line.contains("\"latency_drift\":"), "{line}");
     }
 
     #[test]
     fn engines_produce_identical_winner_bytes() {
-        // The three-way equivalence contract surfaces here as whole
-        // batch lines: a winner-only probe renders the same bytes on
-        // every engine.
+        // The reference == event contract surfaces here as whole batch
+        // lines: a winner-only probe renders the same bytes on every
+        // engine spelling.
         let run = |engine: &str| {
             let m = BatchManifest::parse(&format!(
                 "app dsp\ncapacity 1000\nengine {engine}\nsimulate uniform 0.05\n"

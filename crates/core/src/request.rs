@@ -299,8 +299,8 @@ pub struct ExploreRequest {
     /// Phase-3 swap strategy (default `auto`).
     pub swap: SwapStrategy,
     /// Simulation engine for probes and validation runs (default
-    /// `auto`: event-driven below [`SimEngine::AUTO_EVENT_MAX_LOAD`],
-    /// flat otherwise).
+    /// `auto`; `auto`, `flat` and `event` all run the event-driven
+    /// engine, `reference` the oracle — see [`SimEngine`]).
     pub engine: SimEngine,
     /// Route-table preparation policy (default `auto`: eager on small
     /// topologies, lazy/closed-form at scale — reports are
@@ -787,8 +787,8 @@ pub fn execute(
                             // The probe plan comes from the same shared
                             // table the mapper used; compiled once per
                             // topology, reused by every later request
-                            // that probes the same candidate. All
-                            // indexed engines share one plan class.
+                            // that probes the same candidate. The
+                            // reference engine never consumes a plan.
                             let plan = match &tc.plan {
                                 Some(plan) => plan.clone(),
                                 None => {

@@ -7,8 +7,7 @@
 //! soft blocks)". The paper solves this with a simple LP floorplanner
 //! from the literature; with relative positions fixed on a grid, that
 //! LP's optimum is the longest path through the horizontal/vertical
-//! constraint graphs — which this crate computes exactly (see DESIGN.md
-//! for the substitution note).
+//! constraint graphs — which this crate computes exactly.
 //!
 //! Inputs are a [`RelativePlacement`]: blocks (cores and switches, each
 //! with an area and an aspect-ratio range for soft blocks) assigned to

@@ -3,9 +3,8 @@
 //! The paper's third phase hands the chosen topology and mapping to the
 //! ×pipesCompiler, which instantiates SystemC soft macros for switches,
 //! links and network interfaces and stitches them into a simulatable
-//! design. This crate is the equivalent generator (see DESIGN.md for
-//! the substitution note): it builds a structural [`Netlist`] from a
-//! mapping and emits
+//! design. This crate is the equivalent generator: it builds a
+//! structural [`Netlist`] from a mapping and emits
 //!
 //! * SystemC-style C++ source files ([`emit_systemc`]) with one module
 //!   per switch configuration, a network-interface module and a

@@ -49,7 +49,7 @@ pub struct Constraints {
     pub enforce_bandwidth: bool,
     /// Packing utilisation assumed when converting summed block area
     /// into design area (our grid floorplanner does not perform the
-    /// LP's final compaction; see DESIGN.md).
+    /// LP's final compaction).
     pub utilization: f64,
 }
 

@@ -1,19 +1,19 @@
-//! The event-driven active-set cycle engine.
+//! The event-driven active-set cycle engine: the production simulator
+//! behind every [`SimSession`](crate::SimSession) run except the
+//! reference oracle's.
 //!
-//! The flat engine ([`crate::engine`]) visits every edge's dense state
-//! each cycle, so a cycle costs `O(V + E)` even when one flit is in
-//! flight — exactly the regime that dominates the paper's Fig. 8(b)
-//! curves (most of the x-axis is low load) and any 256+-core grid.
-//! This engine makes a cycle cost `O(k)` in the number of active
-//! elements instead:
+//! A cycle costs `O(k)` in the number of active elements instead of
+//! `O(V + E)` — a dense scan of every edge would pay for the whole
+//! network even with one flit in flight, the regime that dominates the
+//! paper's Fig. 8(b) curves (most of the x-axis is low load) and any
+//! 256+-core grid:
 //!
 //! * **active sets** ([`ActiveSet`], a two-level dense bitset iterated
 //!   in ascending index order) track the edges with at least one
 //!   *ready* queued head flit wanting them, and the rings whose head
 //!   flit is final and ready to eject. Both sets are maintained
-//!   incrementally at every enqueue, dequeue and head change — the
-//!   event-driven extension of the flat engine's denormalised
-//!   head-flit mirror;
+//!   incrementally at every enqueue, dequeue and head change, next to
+//!   a denormalised per-source mirror of each queue's head flit;
 //! * an **event wheel** ([`WheelEvent`]) wakes the bookkeeping for
 //!   in-flight hop completions: a head flit whose `ready_at` is still
 //!   in the future is *not* kept in any scanned set — a wheel slot
@@ -22,31 +22,29 @@
 //!   increment exceeds `switch_pipeline + 1` cycles.
 //!
 //! Tie-breaking and arbitration order are **bit-identical** to the
-//! flat engine: both transfer and eject walk their sets in ascending
-//! edge-id order (the order the flat engine's `for e in 0..edges`
-//! scans impose), the per-edge round-robin/owner arbitration is the
-//! same code shape, and the RNG is consumed in exactly the same order
-//! (the per-terminal injection loop is untouched — it is inherently
-//! `O(terminals)` and identical across all three engines). Mid-cycle
-//! activations are preserved too: the set iterator re-reads live words
-//! after each element, so a ring that gains its first flit while edge
-//! `e` transfers can make a later edge `e' > e` eligible in the same
-//! cycle, exactly like the flat engine's live head reads.
+//! reference engine's: transfer and eject walk their sets in ascending
+//! edge-id order (the order of the reference's edge-iterator scans),
+//! the per-edge round-robin/owner arbitration is the same, and
+//! the RNG is consumed in exactly the same order (the per-terminal
+//! injection loop is inherently `O(terminals)`). Mid-cycle activations
+//! are preserved too: the set iterator re-reads live words after each
+//! element, so a ring that gains its first flit while edge `e`
+//! transfers can make a later edge `e' > e` eligible in the same
+//! cycle, exactly like the reference's live head reads.
 //!
-//! `tests/flat_equivalence.rs` enforces the three-way equivalence
-//! (reference == flat == event) across topologies, patterns, rates and
-//! trace mode; `tests/regression_fixtures.rs` replays the pinned
-//! fixtures through this engine bit for bit.
+//! `tests/engine_equivalence.rs` checks reference == event across
+//! topologies, patterns, rates and trace mode;
+//! `tests/regression_fixtures.rs` replays the pinned fixtures through
+//! this engine bit for bit.
 
 use std::collections::VecDeque;
-use std::sync::Arc;
 
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 
 use crate::engine::{Flit, RoutePlan, SimConfig, F_HEAD, F_MEASURED, F_TAIL, NO_EDGE, NO_OWNER};
 use crate::LatencyStats;
-use sunmap_mapping::{Evaluation, RouteTable};
+use sunmap_mapping::Evaluation;
 use sunmap_topology::{NodeId, TopologyGraph};
 use sunmap_traffic::patterns::TrafficPattern;
 use sunmap_traffic::CoreGraph;
@@ -94,7 +92,8 @@ impl ActiveSet {
 
     /// Smallest set element `>= from`, reading the live words — an
     /// element inserted mid-iteration at a position above the cursor
-    /// is observed, matching the flat engine's in-cycle activations.
+    /// is observed, matching the reference engine's in-cycle
+    /// activations.
     #[inline]
     fn first_at_least(&self, from: usize) -> Option<usize> {
         let nw = self.words.len();
@@ -142,18 +141,15 @@ enum WheelEvent {
 }
 
 /// The event-driven flit-level simulator. Crate-private: built and
-/// driven through [`crate::SimSession`] with
-/// [`SimEngine::EventDriven`](crate::SimEngine::EventDriven).
+/// driven through [`crate::SimSession`].
 #[derive(Debug)]
 pub(crate) struct EventSimulator<'a> {
     graph: &'a TopologyGraph,
     config: SimConfig,
     rng: SmallRng,
     terminals: Vec<NodeId>,
-    plan: Option<Arc<RoutePlan>>,
 
-    // Static per-graph arrays (the flat engine's layout; no per-node
-    // busy/mask state — the active sets replace it).
+    // Static per-graph arrays.
     edge_src: Vec<u32>,
     edge_is_net: Vec<bool>,
     ns_offsets: Vec<u32>,
@@ -175,7 +171,10 @@ pub(crate) struct EventSimulator<'a> {
     /// flags costs O(moved) instead of an O(sources) fill.
     moved_log: Vec<u32>,
 
-    // Denormalised head-flit mirror per source (flat-engine twin).
+    // Denormalised head-flit mirror per source, aligned with
+    // `ns_items`: the edge the head wants (`NO_EDGE` = empty source or
+    // a flit at its final node), its packet id, space requirement and
+    // readiness timestamp, updated at every queue-head change.
     want_edge: Vec<u32>,
     want_packet: Vec<u32>,
     want_required: Vec<u32>,
@@ -214,11 +213,7 @@ pub(crate) struct EventSimulator<'a> {
 }
 
 impl<'a> EventSimulator<'a> {
-    pub(crate) fn build(
-        graph: &'a TopologyGraph,
-        config: SimConfig,
-        plan: Option<Arc<RoutePlan>>,
-    ) -> Self {
+    pub(crate) fn build(graph: &'a TopologyGraph, config: SimConfig) -> Self {
         let terminals = graph.mappable_nodes().to_vec();
         let terms = terminals.len();
         let edge_count = graph.edge_count();
@@ -250,7 +245,6 @@ impl<'a> EventSimulator<'a> {
             graph,
             rng: SmallRng::seed_from_u64(config.seed),
             terminals,
-            plan,
             edge_src,
             edge_is_net,
             ns_offsets,
@@ -288,27 +282,14 @@ impl<'a> EventSimulator<'a> {
         }
     }
 
-    /// The synthetic route plan, compiling it on first use.
-    fn synthetic_plan(&mut self) -> Arc<RoutePlan> {
-        if self.plan.is_none() {
-            let mut table = RouteTable::new(self.graph);
-            self.plan = Some(Arc::new(RoutePlan::synthetic(
-                self.graph,
-                &mut table,
-                &self.config,
-            )));
-        }
-        self.plan.as_ref().expect("plan just built").clone()
-    }
-
-    /// Runs a synthetic-traffic simulation; same contract — and same
-    /// RNG consumption order — as the flat engine's `run_synthetic`.
+    /// Runs a synthetic-traffic simulation over the compiled `plan`
+    /// (traffic model: [`SimSession::run_synthetic`](crate::SimSession::run_synthetic)).
     pub(crate) fn run_synthetic(
         &mut self,
+        plan: &RoutePlan,
         pattern: &TrafficPattern,
         injection_rate: f64,
     ) -> LatencyStats {
-        let plan = self.synthetic_plan();
         self.reset();
         let n = self.terminals.len();
         let packet_prob = (injection_rate / self.config.packet_flits as f64).clamp(0.0, 1.0);
@@ -333,20 +314,20 @@ impl<'a> EventSimulator<'a> {
                         } else {
                             ids[self.rng.gen_range(0..ids.len())]
                         };
-                        self.inject_packet(t, rid, &plan);
+                        self.inject_packet(t, rid, plan);
                     }
                 }
             } else if self.in_flight == 0 {
                 break;
             }
-            self.transfer(&plan);
+            self.transfer(plan);
             self.now += 1;
         }
         self.stats()
     }
 
-    /// Runs a trace-driven simulation; same contract as the flat
-    /// engine's `run_trace`.
+    /// Runs a trace-driven simulation of a mapped application (traffic
+    /// model: [`SimSession::run_trace`](crate::SimSession::run_trace)).
     pub(crate) fn run_trace(
         &mut self,
         eval: &Evaluation,
@@ -354,7 +335,6 @@ impl<'a> EventSimulator<'a> {
         intensity: f64,
     ) -> LatencyStats {
         let (plan, mut traces) = RoutePlan::trace(self.graph, &self.config, eval);
-        let plan = Arc::new(plan);
         let max_bw = app
             .commodities()
             .first()
@@ -439,7 +419,7 @@ impl<'a> EventSimulator<'a> {
     /// Fires the events scheduled for this cycle, moving now-ready
     /// heads into the scanned sets. Runs before the eject phase so an
     /// ejection becoming ready this cycle happens this cycle — exactly
-    /// when the flat engine's dense scan would have seen it.
+    /// when the reference engine's dense scan would have seen it.
     fn drain_wheel(&mut self) {
         let w = (self.now % self.wheel.len() as u64) as usize;
         if self.wheel[w].is_empty() {
@@ -559,8 +539,8 @@ impl<'a> EventSimulator<'a> {
     /// entry, retiring the old head's active-set contribution and
     /// either counting the new head immediately (ready) or scheduling
     /// its readiness on the wheel (pending). Called at every
-    /// queue-head change, so the sets always match what the flat
-    /// engine's per-node bitmap would report.
+    /// queue-head change, so the sets always match a live read of the
+    /// heads.
     fn update_source_desire(&mut self, s: u32) {
         let k = self.source_slot[s as usize] as usize;
         self.desire_gen[k] = self.desire_gen[k].wrapping_add(1);
@@ -653,7 +633,7 @@ impl<'a> EventSimulator<'a> {
 
     /// Ejects every ready final head, walking only the rings in the
     /// eject set — ascending edge order, one pop per ring per cycle,
-    /// identical to the flat engine's dense scan.
+    /// identical to the reference engine's dense scan.
     fn eject(&mut self) {
         if self.in_flight == 0 {
             return;
@@ -681,14 +661,17 @@ impl<'a> EventSimulator<'a> {
             }
             // Advance strictly past `e`: a new final-and-ready head on
             // this ring keeps its bit but must wait for next cycle's
-            // scan, matching the flat engine's single pass.
+            // scan, matching the reference engine's single pass.
             next = self.eject_ready.first_at_least(e + 1);
         }
     }
 
     /// Transfers at most one flit per active edge, walking only the
     /// edges with a ready wanting head — ascending edge order with the
-    /// flat engine's exact owner/round-robin arbitration.
+    /// reference engine's exact owner/round-robin arbitration. One flit
+    /// per edge per cycle; a source queue also releases at most one
+    /// flit per cycle. Virtual cut-through with bubble flow control
+    /// (see `HopStep::head_space`).
     fn transfer(&mut self, plan: &RoutePlan) {
         if self.in_flight == 0 {
             return;
@@ -779,7 +762,7 @@ impl<'a> EventSimulator<'a> {
                 // zero-cycle arrival increment it can already be
                 // eligible at a later edge this same cycle — the live
                 // set re-read below observes the activation, exactly
-                // like the flat engine's dense scan.
+                // like the reference engine's dense scan.
                 self.sync_ring_head(e);
                 self.update_source_desire((self.terminals.len() + e) as u32);
             }

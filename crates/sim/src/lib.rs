@@ -2,9 +2,9 @@
 //!
 //! The paper validates its mappings by generating the chosen network in
 //! SystemC (×pipes soft macros) and simulating it cycle-accurately
-//! (§6.2, §6.4). This crate is the Rust substitute for that substrate
-//! (see DESIGN.md): a wormhole-routed, input-buffered, credit-flow
-//! simulator operating on the same [`TopologyGraph`]s the mapper uses.
+//! (§6.2, §6.4). This crate is the Rust substitute for that substrate:
+//! a wormhole-routed, input-buffered, credit-flow simulator operating
+//! on the same [`TopologyGraph`]s the mapper uses.
 //!
 //! Model summary:
 //!
@@ -25,20 +25,21 @@
 //! window, reproducing the latency-versus-injection-rate methodology of
 //! paper Fig. 8(b) and the per-topology latency bars of Fig. 10(c).
 //!
-//! Three interchangeable engines share the model, selected through
-//! [`SimEngine`] on [`SimConfig`] and driven through a [`SimSession`]:
-//! the flat-array engine of [`engine`] (`Copy` flits in dense per-edge
-//! ring buffers, per-pair routes compiled once — through the mapper's
+//! One production engine runs every simulation: the event-driven
+//! active-set engine (a cycle costs `O(k)` in the number of active
+//! edges and in-flight hop completions, not `O(V + E)`), fed by routes
+//! compiled once per topology — through the mapper's
 //! [`RouteTable`](sunmap_mapping::RouteTable) — into a shareable
-//! [`RoutePlan`]), the event-driven active-set engine (`O(k)` per
-//! cycle in the number of active elements — the low-load /
-//! large-network engine), and the pre-rebuild [`reference`](mod@reference)
-//! engine, the behavioral oracle the three-way equivalence tests and
-//! the `sim_speed` bench compare against. All three are bit-identical
-//! per seed; simulations are deterministic (everything is
-//! index-ordered; no hash-map iteration anywhere), and [`sweep`] fans
-//! rate×topology grids out across scoped threads with bit-identical
-//! results at any worker count.
+//! [`RoutePlan`] of `Copy` hop records. The pre-rebuild
+//! [`reference`](mod@reference) engine is kept as the behavioral
+//! oracle: the equivalence tests require bit-identical
+//! [`LatencyStats`] per seed, and the `sim_speed` bench times the
+//! production engine against it. Both are selected through
+//! [`SimEngine`] on [`SimConfig`] and driven through a [`SimSession`].
+//! Simulations are deterministic (everything is index-ordered; no
+//! hash-map iteration anywhere), and [`sweep`] fans rate×topology grids
+//! out across scoped threads with bit-identical results at any worker
+//! count.
 //!
 //! # Examples
 //!
@@ -48,8 +49,6 @@
 //! use sunmap_traffic::patterns::TrafficPattern;
 //!
 //! let mesh = builders::mesh(4, 4, 500.0)?;
-//! // SimConfig::default() selects SimEngine::Auto: event-driven at
-//! // this low load, flat once the offered load crosses the threshold.
 //! let mut session = SimSession::builder(&mesh).config(SimConfig::fast()).build();
 //! let stats = session.run_synthetic(&TrafficPattern::UniformRandom, 0.05);
 //! assert!(stats.packets_delivered > 0);
@@ -64,7 +63,7 @@ mod session;
 mod stats;
 pub mod sweep;
 
-pub use engine::{NocSimulator, RoutePlan, SimConfig, SimEngine, SIM_PATH_CAP};
+pub use engine::{RoutePlan, SimConfig, SimEngine, SIM_PATH_CAP};
 pub use session::{SimSession, SimSessionBuilder};
 pub use stats::LatencyStats;
 pub use sweep::{adversarial_sweep, injection_sweep, SweepPoint, SweepRequest};

@@ -1,14 +1,15 @@
 //! The pre-rebuild simulation engine, kept verbatim as the behavioral
-//! oracle for the flat engine in [`crate::engine`].
+//! oracle for the event-driven production engine.
 //!
 //! This is the original `Rc`-path, `VecDeque`-buffer implementation.
 //! It allocates on the hot path (an `Rc<[NodeId]>` clone per flit, a
 //! `HashMap` path cache) and walks the graph's edge iterator every
 //! cycle, which is why it was replaced — but its *semantics* are the
-//! contract: the equivalence suite in `tests/flat_equivalence.rs`
-//! asserts the flat engine's [`LatencyStats`] are bit-identical to this
-//! engine's for the same seed, and the `sim_speed` bench group measures
-//! the rebuild's speedup against it. Do not optimise this module.
+//! contract: the equivalence suite in `tests/engine_equivalence.rs`
+//! asserts the event engine's [`LatencyStats`] are bit-identical to
+//! this engine's for the same seed, and the `sim_speed` bench group
+//! measures the rebuild's speedup against it. Do not optimise this
+//! module.
 
 // lint:allow(hash-iter): frozen oracle module, kept byte-for-byte as the equivalence baseline
 use std::collections::{HashMap, VecDeque};

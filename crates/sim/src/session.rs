@@ -3,7 +3,7 @@
 
 use std::sync::Arc;
 
-use crate::engine::{NocSimulator, RoutePlan, SimConfig, SimEngine};
+use crate::engine::{RoutePlan, SimConfig, SimEngine};
 use crate::event::EventSimulator;
 use crate::{reference, LatencyStats};
 use sunmap_mapping::{Evaluation, RouteTable};
@@ -42,21 +42,18 @@ impl<'a> SimSessionBuilder<'a> {
     /// # Panics
     ///
     /// Panics if a supplied plan is not
-    /// [`compatible`](RoutePlan::compatible) with the graph and
-    /// config — including a plan compiled under a different engine
-    /// layout class, which must never be silently reused.
+    /// [`compatible`](RoutePlan::compatible) with the graph and config.
     pub fn build(self) -> SimSession<'a> {
         if let Some(plan) = &self.plan {
             assert!(
                 plan.compatible(self.graph, &self.config),
-                "route plan compiled for a different graph, engine or configuration"
+                "route plan compiled for a different graph or configuration"
             );
         }
         SimSession {
             graph: self.graph,
             config: self.config,
             plan: self.plan,
-            flat: None,
             event: None,
             reference: None,
         }
@@ -64,13 +61,12 @@ impl<'a> SimSessionBuilder<'a> {
 }
 
 /// A simulation session over one topology: owns the (lazily created)
-/// engines, shares one compiled route plan across them, and dispatches
-/// each run to the engine [`SimConfig::engine`] selects — resolving
-/// [`SimEngine::Auto`] per run from the offered load.
+/// engine and its compiled route plan, and runs every simulation on
+/// the event-driven engine — or, when [`SimConfig::engine`] is
+/// [`SimEngine::Reference`], on the reference oracle.
 ///
-/// Every engine produces bit-identical [`LatencyStats`] for the same
-/// seed (see [`SimEngine`]), so re-running with a different engine is
-/// purely a speed decision.
+/// Both produce bit-identical [`LatencyStats`] for the same seed (see
+/// [`SimEngine`]).
 ///
 /// # Examples
 ///
@@ -94,7 +90,6 @@ pub struct SimSession<'a> {
     graph: &'a TopologyGraph,
     config: SimConfig,
     plan: Option<Arc<RoutePlan>>,
-    flat: Option<NocSimulator<'a>>,
     event: Option<EventSimulator<'a>>,
     reference: Option<reference::NocSimulator<'a>>,
 }
@@ -119,85 +114,65 @@ impl<'a> SimSession<'a> {
         self.graph.mappable_nodes().len()
     }
 
-    /// The concrete engine a run at `load` flits/cycle/terminal would
-    /// use (resolves [`SimEngine::Auto`]; never returns it).
+    /// The engine a run at `load` flits/cycle/terminal uses (see
+    /// [`SimEngine::resolve`]; the load does not change it).
     pub fn engine_for(&self, load: f64) -> SimEngine {
         self.config.engine.resolve(load)
     }
 
-    /// The session's synthetic route plan, compiling it on first use
-    /// and sharing it across the indexed engines. The reference engine
-    /// never consumes it, so a reference-engine session does not
-    /// compile one.
+    /// The session's synthetic route plan, compiling it on first use.
+    /// The reference engine never consumes it, so a reference-engine
+    /// session does not compile one.
     fn synthetic_plan(&mut self) -> Arc<RoutePlan> {
-        if self.plan.is_none() {
-            let mut table = RouteTable::new(self.graph);
-            self.plan = Some(Arc::new(RoutePlan::synthetic(
-                self.graph,
-                &mut table,
-                &self.config,
-            )));
-        }
-        self.plan.as_ref().expect("plan just built").clone()
+        let (graph, config) = (self.graph, &self.config);
+        self.plan
+            .get_or_insert_with(|| {
+                let mut table = RouteTable::new(graph);
+                Arc::new(RoutePlan::synthetic(graph, &mut table, config))
+            })
+            .clone()
     }
 
-    /// Runs a synthetic-traffic simulation on the engine resolved for
-    /// `injection_rate` (see [`NocSimulator::run_synthetic`] for the
-    /// traffic model; all engines share it bit for bit).
+    /// The event engine, built on first use.
+    fn event(&mut self) -> &mut EventSimulator<'a> {
+        let (graph, config) = (self.graph, self.config);
+        self.event
+            .get_or_insert_with(|| EventSimulator::build(graph, config))
+    }
+
+    /// The reference oracle, built on first use.
+    fn reference(&mut self) -> &mut reference::NocSimulator<'a> {
+        let (graph, config) = (self.graph, self.config);
+        self.reference
+            .get_or_insert_with(|| reference::NocSimulator::new(graph, config))
+    }
+
+    /// Runs a synthetic-traffic simulation: every terminal injects
+    /// packets as a Bernoulli process of `injection_rate` flits per
+    /// cycle, destinations drawn from `pattern`, routes drawn uniformly
+    /// from the minimum paths.
     pub fn run_synthetic(&mut self, pattern: &TrafficPattern, injection_rate: f64) -> LatencyStats {
-        match self.config.engine.resolve(injection_rate) {
-            SimEngine::Flat | SimEngine::Auto => {
-                let plan = self.synthetic_plan();
-                let (graph, config) = (self.graph, self.config);
-                self.flat
-                    .get_or_insert_with(|| NocSimulator::build(graph, config, Some(plan)))
-                    .run_synthetic(pattern, injection_rate)
-            }
-            SimEngine::EventDriven => {
-                let plan = self.synthetic_plan();
-                let (graph, config) = (self.graph, self.config);
-                self.event
-                    .get_or_insert_with(|| EventSimulator::build(graph, config, Some(plan)))
-                    .run_synthetic(pattern, injection_rate)
-            }
-            SimEngine::Reference => {
-                let (graph, config) = (self.graph, self.config);
-                self.reference
-                    .get_or_insert_with(|| reference::NocSimulator::new(graph, config))
-                    .run_synthetic(pattern, injection_rate)
-            }
+        if self.config.engine == SimEngine::Reference {
+            return self.reference().run_synthetic(pattern, injection_rate);
         }
+        let plan = self.synthetic_plan();
+        self.event().run_synthetic(&plan, pattern, injection_rate)
     }
 
-    /// Runs a trace-driven simulation of a mapped application on the
-    /// engine resolved for `intensity` (see
-    /// [`NocSimulator::run_trace`] for the traffic model).
+    /// Runs a trace-driven simulation of a mapped application: each
+    /// commodity injects packets at a rate proportional to its bandwidth
+    /// demand, scaled so the heaviest commodity injects `intensity`
+    /// flits per cycle, over the paths the mapping evaluation selected.
     pub fn run_trace(
         &mut self,
         eval: &Evaluation,
         app: &CoreGraph,
         intensity: f64,
     ) -> LatencyStats {
-        match self.config.engine.resolve(intensity) {
-            SimEngine::Flat | SimEngine::Auto => {
-                let (graph, config) = (self.graph, self.config);
-                self.flat
-                    .get_or_insert_with(|| NocSimulator::build(graph, config, None))
-                    .run_trace(eval, app, intensity)
-            }
-            SimEngine::EventDriven => {
-                let (graph, config) = (self.graph, self.config);
-                self.event
-                    .get_or_insert_with(|| EventSimulator::build(graph, config, None))
-                    .run_trace(eval, app, intensity)
-            }
-            SimEngine::Reference => {
-                let (graph, config) = (self.graph, self.config);
-                self.reference
-                    .get_or_insert_with(|| reference::NocSimulator::new(graph, config))
-                    .run_trace(eval, app, intensity)
-            }
+        if self.config.engine == SimEngine::Reference {
+            return self.reference().run_trace(eval, app, intensity);
         }
+        self.event().run_trace(eval, app, intensity)
     }
 }
 
@@ -208,17 +183,24 @@ mod tests {
 
     #[test]
     fn auto_resolves_by_load_threshold() {
+        // Every spelling but `reference` runs the event engine at every
+        // load; the threshold constant selects nothing.
         let g = builders::mesh(3, 3, 500.0).unwrap();
-        let session = SimSession::builder(&g).build();
-        assert_eq!(session.engine_for(0.01), SimEngine::EventDriven);
-        assert_eq!(session.engine_for(0.5), SimEngine::Flat);
-        let flat = SimSession::builder(&g)
-            .config(SimConfig {
-                engine: SimEngine::Flat,
-                ..SimConfig::fast()
-            })
-            .build();
-        assert_eq!(flat.engine_for(0.01), SimEngine::Flat);
+        let loads = [0.0, 0.01, SimEngine::AUTO_EVENT_MAX_LOAD, 0.5, 1.0];
+        for engine in [SimEngine::Auto, SimEngine::Flat, SimEngine::EventDriven] {
+            let session = SimSession::builder(&g)
+                .config(SimConfig {
+                    engine,
+                    ..SimConfig::fast()
+                })
+                .build();
+            for load in loads {
+                assert_eq!(session.engine_for(load), SimEngine::EventDriven, "{load}");
+            }
+        }
+        for load in loads {
+            assert_eq!(SimEngine::Reference.resolve(load), SimEngine::Reference);
+        }
     }
 
     #[test]
@@ -235,56 +217,10 @@ mod tests {
                 .run_synthetic(&TrafficPattern::Tornado, rate)
         };
         for rate in [0.05, 0.3] {
-            let flat = run(SimEngine::Flat, rate);
-            assert_eq!(flat, run(SimEngine::EventDriven, rate));
-            assert_eq!(flat, run(SimEngine::Reference, rate));
-            assert_eq!(flat, run(SimEngine::Auto, rate));
+            let reference = run(SimEngine::Reference, rate);
+            for engine in [SimEngine::Auto, SimEngine::Flat, SimEngine::EventDriven] {
+                assert_eq!(reference, run(engine, rate), "{}", engine.name());
+            }
         }
-    }
-
-    #[test]
-    fn auto_switches_engines_within_one_session() {
-        // One session crossing the Auto threshold exercises both lazily
-        // created engines against each other.
-        let g = builders::mesh(3, 3, 500.0).unwrap();
-        let mut auto = SimSession::builder(&g).config(SimConfig::fast()).build();
-        let low = auto.run_synthetic(&TrafficPattern::UniformRandom, 0.05);
-        let high = auto.run_synthetic(&TrafficPattern::UniformRandom, 0.3);
-        let mut flat = SimSession::builder(&g)
-            .config(SimConfig {
-                engine: SimEngine::Flat,
-                ..SimConfig::fast()
-            })
-            .build();
-        assert_eq!(
-            low,
-            flat.run_synthetic(&TrafficPattern::UniformRandom, 0.05)
-        );
-        assert_eq!(
-            high,
-            flat.run_synthetic(&TrafficPattern::UniformRandom, 0.3)
-        );
-    }
-
-    #[test]
-    #[should_panic(expected = "different graph, engine or configuration")]
-    fn cross_engine_plan_reuse_is_rejected() {
-        use sunmap_mapping::RouteTable;
-        let g = builders::mesh(3, 3, 500.0).unwrap();
-        let ref_config = SimConfig {
-            engine: SimEngine::Reference,
-            ..SimConfig::fast()
-        };
-        let mut table = RouteTable::new(&g);
-        let plan = Arc::new(RoutePlan::synthetic(&g, &mut table, &ref_config));
-        // A plan compiled under the reference engine's layout class
-        // must not be silently consumed by the indexed engines.
-        let _ = SimSession::builder(&g)
-            .config(SimConfig {
-                engine: SimEngine::Flat,
-                ..SimConfig::fast()
-            })
-            .plan(plan)
-            .build();
     }
 }

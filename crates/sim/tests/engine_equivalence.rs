@@ -1,10 +1,10 @@
 //! The engine equivalence contract: for any seed, topology, pattern,
-//! rate and configuration, the flat and event-driven engines produce
+//! rate and configuration, the event-driven production engine produces
 //! [`LatencyStats`] bit-identical to the pre-rebuild engine's (kept as
 //! [`sunmap_sim::reference`]). The implementations share nothing but
 //! the `SimConfig` type, so agreement here pins the RNG consumption
 //! order, the arbitration order, the bubble-rule spacing and the
-//! timing model all at once — three ways.
+//! timing model all at once.
 //!
 //! Set `SIM_EQUIV_CASES=<n>` to sweep `n` extra injection rates per
 //! case on top of the defaults (`make sim-equiv` wires this up).
@@ -15,12 +15,6 @@ use sunmap_topology::builders;
 use sunmap_traffic::benchmarks;
 use sunmap_traffic::patterns::TrafficPattern;
 use sunmap_traffic::CoreGraph;
-
-const ENGINES: [SimEngine; 3] = [
-    SimEngine::Reference,
-    SimEngine::Flat,
-    SimEngine::EventDriven,
-];
 
 /// Extra rates requested through the `SIM_EQUIV_CASES` env knob:
 /// `n` evenly spaced rates in (0, 0.5], deterministic, no RNG.
@@ -44,17 +38,13 @@ fn assert_synthetic_equivalent(
             .build()
             .run_synthetic(pattern, rate)
     };
-    let reference = run(SimEngine::Reference);
-    for engine in [SimEngine::Flat, SimEngine::EventDriven] {
-        assert_eq!(
-            reference,
-            run(engine),
-            "{} {} rate {rate}: reference and {} engines diverged",
-            g.kind(),
-            pattern.name(),
-            engine.name()
-        );
-    }
+    assert_eq!(
+        run(SimEngine::Reference),
+        run(SimEngine::EventDriven),
+        "{} {} rate {rate}: reference and event engines diverged",
+        g.kind(),
+        pattern.name(),
+    );
 }
 
 fn assert_trace_equivalent(
@@ -70,15 +60,11 @@ fn assert_trace_equivalent(
             .build()
             .run_trace(eval, app, intensity)
     };
-    let reference = run(SimEngine::Reference);
-    for engine in [SimEngine::Flat, SimEngine::EventDriven] {
-        assert_eq!(
-            reference,
-            run(engine),
-            "trace intensity {intensity}: reference and {} engines diverged",
-            engine.name()
-        );
-    }
+    assert_eq!(
+        run(SimEngine::Reference),
+        run(SimEngine::EventDriven),
+        "trace intensity {intensity}: reference and event engines diverged",
+    );
 }
 
 #[test]
@@ -96,8 +82,8 @@ fn standard_library_adversarial_rates() {
 fn uniform_random_consumes_rng_identically() {
     // UniformRandom draws from the RNG for every destination, and the
     // indirect topologies draw again per path pick — the strictest
-    // check that the indexed engines consume randomness in the
-    // reference order.
+    // check that the event engine consumes randomness in the reference
+    // order.
     for g in builders::standard_library(12, 500.0).unwrap() {
         assert_synthetic_equivalent(&g, SimConfig::fast(), &TrafficPattern::UniformRandom, 0.15);
     }
@@ -174,8 +160,8 @@ fn saturated_network_agrees() {
 
 #[test]
 fn low_load_regime_agrees() {
-    // The regime the event engine's Auto threshold targets: almost
-    // every edge idle, so most cycles touch a handful of active sets.
+    // Almost every edge idle, so most cycles touch a handful of
+    // active-set entries.
     let g = builders::mesh(4, 4, 500.0).unwrap();
     for rate in [0.01, 0.05] {
         assert_synthetic_equivalent(&g, SimConfig::fast(), &TrafficPattern::UniformRandom, rate);
@@ -231,9 +217,7 @@ fn zero_rate_is_empty_on_every_engine() {
             .build()
             .run_synthetic(&TrafficPattern::Tornado, 0.0)
     };
-    let reference = run(ENGINES[0]);
+    let reference = run(SimEngine::Reference);
     assert_eq!(reference.packets_delivered, 0);
-    for engine in &ENGINES[1..] {
-        assert_eq!(reference, run(*engine));
-    }
+    assert_eq!(reference, run(SimEngine::EventDriven));
 }

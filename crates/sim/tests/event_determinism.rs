@@ -1,8 +1,6 @@
 //! The event engine's determinism contract: same seed → bit-identical
 //! stats across repeated runs, session reuse, and any sweep worker
-//! count. The flat engine earned these guarantees in its own PR; the
-//! event engine must hold them too, because batch resume and the serve
-//! cache both hash simulation output.
+//! count. Batch resume and the serve cache both hash simulation output.
 
 use sunmap_sim::{sweep, SimConfig, SimEngine, SimSession};
 use sunmap_topology::builders;
@@ -86,7 +84,8 @@ fn sweep_is_worker_count_invariant_on_the_event_engine() {
 
 #[test]
 fn auto_engine_sweep_is_worker_count_invariant() {
-    // Auto resolves per rate, so one sweep mixes both indexed engines.
+    // The default `auto` spelling, through the sweep driver, at a low
+    // and a high load.
     let graphs = [builders::mesh(4, 4, 500.0).unwrap()];
     let requests = [sweep::SweepRequest {
         graph: &graphs[0],

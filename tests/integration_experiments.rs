@@ -1,7 +1,7 @@
 //! Regression tests pinning the *shape* of every paper experiment: who
 //! wins, by roughly what factor, and where the qualitative crossovers
-//! fall. These are the claims EXPERIMENTS.md records; if one of these
-//! fails, a model change broke the reproduction.
+//! fall. If one of these fails, a model change broke the
+//! reproduction.
 
 use sunmap::sim::{adversarial_pattern, SimConfig, SimSession};
 use sunmap::topology::builders;

@@ -1,5 +1,7 @@
-//! Property-based tests (proptest) of the core invariants listed in
-//! DESIGN.md §6, exercised across randomly generated applications and
+//! Property-based tests (proptest) of the core invariants — flow
+//! conservation, sound floorplans, hop floors, injective placements,
+//! exact Pareto fronts, quadrant min paths, capacity-honouring split
+//! routing — exercised across randomly generated applications and
 //! topology shapes.
 
 use proptest::prelude::*;
