@@ -10,7 +10,7 @@ CARGO ?= cargo
 BENCH_SMOKE_JSONL := target/bench-smoke.jsonl
 BENCH_RESULTS := target/BENCH_results.json
 
-.PHONY: all build test bench bench-run bench-smoke batch-smoke serve-smoke shard-smoke scale-smoke sim-equiv table-equiv perfbench-test doc lint fmt ci clean
+.PHONY: all build test bench bench-run bench-smoke bench-record batch-smoke serve-smoke shard-smoke scale-smoke sim-equiv table-equiv perfbench-test doc lint fmt ci clean
 
 all: build
 
@@ -43,6 +43,24 @@ bench-smoke:
 	@paste -sd, $(BENCH_SMOKE_JSONL) >> $(BENCH_RESULTS)
 	@printf ']}\n' >> $(BENCH_RESULTS)
 	@echo "wrote $(BENCH_RESULTS)"
+
+## Record the benchmark: every workload BENCHMARK.json declares, run
+## BENCH_RUNS times (runs interleave the workloads) with the command
+## and run length BENCHMARK.json gives, results in BENCH_OUT; then
+## perfbench/compare.py prints each metric's median, quartiles and
+## spread against its bound. Not part of `make ci`: a run lasts the
+## workload's run_seconds. To compare two commits, record each into its
+## own BENCH_OUT and run `python3 perfbench/compare.py PARENT CHANGE`.
+BENCH_RUNS ?= 5
+BENCH_OUT ?= target/bench-record
+bench-record:
+	mkdir -p $(BENCH_OUT)
+	python3 -c 'import json, shlex; b = json.load(open("BENCHMARK.json")); \
+		cmd = " ".join(map(shlex.quote, b["command"])); \
+		[print(cmd, "--workload", shlex.quote(w["name"]), "--seconds", b["run_seconds"], \
+		       "--out", shlex.quote("$(BENCH_OUT)")) \
+		 for _ in range($(BENCH_RUNS)) for w in b["workloads"]]' | sh -ex
+	python3 perfbench/compare.py $(BENCH_OUT)
 
 ## Smoke-run the batch exploration engine end-to-end: the committed
 ## 20-job sample manifest (4 seed benchmarks + 16 synthetic workloads)

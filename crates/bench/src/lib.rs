@@ -25,7 +25,7 @@ pub fn explore(
         .routing(routing)
         .objective(objective);
     if relaxed_bandwidth {
-        builder = builder.constraints(sunmap::Constraints::relaxed_bandwidth());
+        builder = builder.constraints(sunmap::request::ConstraintMode::Relaxed);
     }
     builder
         .build()

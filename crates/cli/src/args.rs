@@ -1,7 +1,10 @@
 //! Hand-rolled argument parsing for the `sunmap` binary (kept
 //! dependency-free; the option surface is small).
 
-use sunmap::request::{parse_engine, parse_swap, parse_table_prep, SimProbe};
+use sunmap::request::{
+    parse_engine, parse_objective, parse_routing, parse_swap, parse_table_prep, ConstraintMode,
+    SimProbe,
+};
 use sunmap::sim::SimEngine;
 use sunmap::{Objective, RoutingFunction, SwapStrategy, TablePrep};
 
@@ -19,9 +22,9 @@ pub struct Cli {
     pub routing: RoutingFunction,
     /// Mapping objective.
     pub objective: Objective,
-    /// Relax bandwidth feasibility (paper §6.2 mode).
-    pub relax_bandwidth: bool,
-    /// Include the octagon/star extension topologies.
+    /// Constraint regime (`--relax-bandwidth`: the paper's §6.2 mode).
+    pub constraints: ConstraintMode,
+    /// Include the octagon/star extension topologies (text commands).
     pub extended: bool,
     /// Output directory for `generate`, `simulate` and `sweep`.
     pub out_dir: String,
@@ -50,8 +53,8 @@ pub struct Cli {
     pub shard: Option<(usize, usize)>,
     /// Jobs per lease for `batch-coordinator`.
     pub grain: usize,
-    /// Phase-3 swap strategy (`explore --json`, `client explore`,
-    /// `batch` manifests override per-job).
+    /// Phase-3 swap strategy (explore, generate, simulate and `client
+    /// explore`; `batch` manifests set it per job).
     pub swap: SwapStrategy,
     /// Simulation engine for `simulate`, `sweep`, `explore --validate`
     /// and probes (`--engine auto|flat|event|reference`).
@@ -172,14 +175,15 @@ options:
   --routing <fn>        DO | MP | SM | SA    (default MP)
   --objective <obj>     delay|area|power|bandwidth (default delay)
   --relax-bandwidth     do not enforce link capacities
-  --extended            add octagon and star to the library
+  --extended            add octagon and star to the library (text commands:
+                        explore without --json, generate, simulate, sweep)
   --out <dir>           output directory     (generate/simulate/sweep;
                         default sunmap-out)
   --name <name>         design name (generate) or worker name shown in
                         coordinator logs (batch-worker); default 'design'
   --intensity <f>       injection intensity  (simulate/explore --validate;
                         default 0.45)
-  --validate            simulate winner + runner-up after explore (phase 4)
+  --validate            text explore: simulate winner + runner-up (phase 4)
   --rates <r1,r2,..>    sweep injection rates (default 0.02..0.45)
   --pattern <name>      sweep pattern: uniform|transpose|bit-complement|
                         bit-reverse|tornado (default: per-topology adversary)
@@ -193,8 +197,8 @@ options:
                         slices (1-based); concatenating the n shard outputs
                         in order reproduces the unsharded file exactly
   --grain <n>           batch-coordinator: jobs per lease (default 2)
-  --swap <s>            auto|exhaustive|delta (default auto; explore --json
-                        and client explore)
+  --swap <s>            auto|exhaustive|delta (default auto; explore,
+                        generate, simulate and client explore)
   --engine <e>          simulation engine: auto|flat|event|reference
                         (default auto; auto, flat and event all run the
                         event-driven engine, reference the slow oracle it
@@ -308,7 +312,7 @@ impl Cli {
             capacity: 500.0,
             routing: RoutingFunction::MinPath,
             objective: Objective::MinDelay,
-            relax_bandwidth: false,
+            constraints: ConstraintMode::Strict,
             extended: false,
             out_dir: "sunmap-out".to_string(),
             design_name: "design".to_string(),
@@ -346,14 +350,13 @@ impl Cli {
                 // helpers the batch manifest uses, so the two surfaces
                 // cannot drift.
                 "--routing" => {
-                    cli.routing = sunmap::batch::parse_routing(&value("--routing")?)
-                        .map_err(ParseCliError)?;
+                    cli.routing = parse_routing(&value("--routing")?).map_err(ParseCliError)?;
                 }
                 "--objective" => {
-                    cli.objective = sunmap::batch::parse_objective(&value("--objective")?)
-                        .map_err(ParseCliError)?;
+                    cli.objective =
+                        parse_objective(&value("--objective")?).map_err(ParseCliError)?;
                 }
-                "--relax-bandwidth" => cli.relax_bandwidth = true,
+                "--relax-bandwidth" => cli.constraints = ConstraintMode::Relaxed,
                 "--extended" => cli.extended = true,
                 "--out" => cli.out_dir = value("--out")?,
                 "--name" => cli.design_name = value("--name")?,
@@ -462,6 +465,27 @@ impl Cli {
                 "--intensity must be a non-negative number".to_string(),
             ));
         }
+        // Refuse explore flags the chosen path would ignore: the JSON
+        // report has no table to extend or annotate, and only it carries
+        // probes.
+        let json_explore =
+            (cli.command == Command::Explore && cli.json) || cli.client_op == ClientOp::Explore;
+        let refused = match (json_explore, &cli.probe) {
+            (true, _) if cli.extended => Some(
+                "--extended needs a text command (explore without --json, generate, simulate, \
+                 sweep)",
+            ),
+            (true, _) if cli.validate => {
+                Some("--validate needs text explore (explore without --json)")
+            }
+            (false, Some(_)) => {
+                Some("--probe needs a JSON explore (explore --json or client explore)")
+            }
+            _ => None,
+        };
+        if let Some(message) = refused {
+            return Err(ParseCliError(message.to_string()));
+        }
         if matches!(
             cli.command,
             Command::Batch | Command::BatchCoordinator | Command::BatchWorker
@@ -523,7 +547,7 @@ mod tests {
         assert_eq!(cli.capacity, 1000.0);
         assert_eq!(cli.routing, RoutingFunction::SplitAllPaths);
         assert_eq!(cli.objective, Objective::MinPower);
-        assert!(cli.relax_bandwidth);
+        assert_eq!(cli.constraints, ConstraintMode::Relaxed);
         assert!(cli.extended);
         assert_eq!(cli.out_dir, "/tmp/x");
         assert_eq!(cli.design_name, "demo");
@@ -560,6 +584,32 @@ mod tests {
             .unwrap_err()
             .0
             .contains("unknown option"));
+        // Explore flags the chosen path would ignore name themselves
+        // and the mode they need.
+        assert_refused(
+            "explore vopd --json --extended",
+            "--extended",
+            "text command",
+        );
+        assert_refused(
+            "explore vopd --json --validate",
+            "--validate",
+            "text explore",
+        );
+        for command in ["explore", "generate", "simulate", "sweep"] {
+            let words = format!("{command} vopd --probe uniform 0.1");
+            assert_refused(&words, "--probe", "explore --json or client explore");
+        }
+    }
+
+    /// Asserts that parsing the space-separated `words` fails with an
+    /// error that starts with `flag` and names `mode`.
+    fn assert_refused(words: &str, flag: &str, mode: &str) {
+        let err = Cli::parse(words.split(' ')).unwrap_err().0;
+        assert!(
+            err.starts_with(flag) && err.contains(mode),
+            "{words}: {err}"
+        );
     }
 
     #[test]
@@ -801,6 +851,15 @@ mod tests {
             .unwrap_err()
             .0
             .contains("unknown pattern"));
+        assert_refused("client :7420 explore vopd --extended", "--extended", "text");
+        assert_refused("client :7420 explore vopd --validate", "--validate", "text");
+        for words in [
+            "client :7420 stats --probe uniform 0.1",
+            "serve --probe uniform 0.1",
+            "batch --jobs g --probe uniform 0.1",
+        ] {
+            assert_refused(words, "--probe", "client explore");
+        }
     }
 
     #[test]
@@ -847,7 +906,7 @@ mod tests {
 
     #[test]
     fn probe_takes_an_optional_top_k() {
-        let cli = Cli::parse(["explore", "vopd", "--probe", "uniform", "0.1"]).unwrap();
+        let cli = Cli::parse(["explore", "vopd", "--json", "--probe", "uniform", "0.1"]).unwrap();
         assert_eq!(cli.probe.as_ref().unwrap().top_k, 1);
         // The third token is consumed only when it is a bare integer...
         let cli = Cli::parse([

@@ -5,12 +5,13 @@ use std::fs;
 use std::io::Write as _;
 use std::net::TcpStream;
 use std::path::{Path, PathBuf};
+use std::sync::Arc;
 
 use crate::args::{Cli, ClientOp, Command};
 use sunmap::batch::{
     manifest_fingerprint, plan_resume, run_batch, shard_range, BatchJob, BatchManifest, ResumePlan,
 };
-use sunmap::request::{ConstraintMode, ExploreRequest, RequestRunner};
+use sunmap::request::{ExploreRequest, RequestRunner};
 use sunmap::schema::{SERVE_SCHEMA, SIMULATE_SCHEMA};
 use sunmap::serve::{read_frame, report_slice, serve, verify_replay, write_frame, ServeConfig};
 use sunmap::shard::{run_coordinator, run_worker, CoordConfig};
@@ -20,60 +21,55 @@ use sunmap::topology::builders;
 use sunmap::traffic::patterns::TrafficPattern;
 use sunmap::traffic::CoreGraph;
 use sunmap::{
-    pareto_exploration, routing_bandwidth_sweep, AppSource, Constraints, Exploration, Sunmap,
-    TopologyGraph,
+    pareto_exploration, routing_bandwidth_sweep, AppSource, Exploration, Sunmap, TopologyGraph,
 };
 
 type CliResult = Result<(), Box<dyn Error>>;
 
 /// Dispatches a parsed command line.
 pub fn run(cli: &Cli) -> CliResult {
-    match cli.command {
+    // Application commands parse their one application through the same
+    // `AppSource` path as batch manifests and serve frames.
+    let load = || AppSource::load(&cli.app);
+    let app = match cli.command {
         Command::Batch => return batch(cli),
         Command::BatchCoordinator => return batch_coordinator(cli),
         Command::BatchWorker => return batch_worker(cli),
         Command::Serve => return serve_daemon(cli),
         Command::Replay => return replay(cli),
-        Command::Client if cli.client_op != ClientOp::Explore => return client(cli, None),
-        Command::Client => return client(cli, Some(explore_request(cli)?)),
-        Command::Explore if cli.json => return explore_json(cli, &explore_request(cli)?),
-        _ => {}
-    }
-    // Every remaining command takes one application, parsed through the
-    // same `AppSource` path as batch manifests and serve frames.
-    let app = AppSource::load(&cli.app)?;
-    match cli.command {
-        Command::Explore => explore(cli, app),
-        Command::Generate => generate(cli, app),
-        Command::Sweep => sweep(cli, app),
-        Command::DesignSweep => design_sweep(cli, app),
-        Command::Simulate => simulate(cli, app),
-        Command::Batch
-        | Command::BatchCoordinator
-        | Command::BatchWorker
-        | Command::Serve
-        | Command::Client
-        | Command::Replay => {
-            unreachable!("dispatched above")
+        Command::Client => return client(cli),
+        Command::Explore if cli.json => {
+            // The one-shot report line, byte-identical to what the daemon
+            // returns for the same request.
+            let outcome = RequestRunner::new(cli.cache).run(&explore_request(cli)?)?;
+            println!("{}", outcome.line);
+            return Ok(());
         }
+        Command::Sweep => return sweep(cli, load()?),
+        Command::DesignSweep => return design_sweep(cli, load()?),
+        Command::Explore | Command::Generate | Command::Simulate => load()?,
+    };
+    // `explore`, `generate` and `simulate` render one exploration of the
+    // command line's request over its candidate library.
+    let tool = Sunmap::for_request(&explore_request(cli)?, Arc::new(app));
+    let exploration = tool.explore_library(library(cli, tool.application().core_count())?);
+    match cli.command {
+        Command::Explore => explore(cli, &tool, exploration),
+        Command::Generate => generate(cli, &tool, &exploration),
+        _ => simulate(cli, &tool, &exploration),
     }
 }
 
 /// The [`ExploreRequest`] a command line describes — the same type a
-/// batch manifest cell or a serve frame produces, so `explore --json`,
-/// `client explore` and the daemon agree on defaults and validation by
-/// construction.
+/// batch manifest cell or a serve frame produces, so every explore-family
+/// command, `client explore` and the daemon agree on defaults and
+/// validation by construction.
 fn explore_request(cli: &Cli) -> Result<ExploreRequest, Box<dyn Error>> {
-    let app: AppSource = cli.app.parse()?;
-    let mut req = ExploreRequest::new(app);
+    let mut req = ExploreRequest::new(cli.app.parse()?);
     req.objective = cli.objective;
     req.routing = cli.routing;
     req.capacity = cli.capacity;
-    req.constraints = if cli.relax_bandwidth {
-        ConstraintMode::Relaxed
-    } else {
-        ConstraintMode::Strict
-    };
+    req.constraints = cli.constraints;
     req.swap = cli.swap;
     req.engine = cli.engine;
     req.table_prep = cli.table_prep;
@@ -90,18 +86,6 @@ fn sim_config(cli: &Cli) -> SimConfig {
     }
 }
 
-fn tool(cli: &Cli, app: CoreGraph) -> Sunmap {
-    let mut builder = Sunmap::builder(app)
-        .link_capacity(cli.capacity)
-        .routing(cli.routing)
-        .objective(cli.objective)
-        .table_prep(cli.table_prep);
-    if cli.relax_bandwidth {
-        builder = builder.constraints(Constraints::relaxed_bandwidth());
-    }
-    builder.build()
-}
-
 fn library(cli: &Cli, cores: usize) -> Result<Vec<TopologyGraph>, Box<dyn Error>> {
     let mut lib = builders::standard_library(cores, cli.capacity)?;
     if cli.extended {
@@ -111,27 +95,6 @@ fn library(cli: &Cli, cores: usize) -> Result<Vec<TopologyGraph>, Box<dyn Error>
         lib.push(builders::star(cores, cli.capacity)?);
     }
     Ok(lib)
-}
-
-fn explore_with_library(
-    cli: &Cli,
-    app: CoreGraph,
-) -> Result<(Sunmap, Exploration), Box<dyn Error>> {
-    let cores = app.core_count();
-    let tool = tool(cli, app);
-    let lib = library(cli, cores)?;
-    let ex = tool.explore_library(lib);
-    Ok((tool, ex))
-}
-
-/// `explore --json`: the one-shot report line, byte-identical to what
-/// the daemon returns for the same request.
-fn explore_json(cli: &Cli, req: &ExploreRequest) -> CliResult {
-    let outcome = RequestRunner::new(cli.cache)
-        .run(req)
-        .map_err(|e| -> Box<dyn Error> { e.into() })?;
-    println!("{}", outcome.line);
-    Ok(())
 }
 
 /// `serve`: runs the daemon until a `shutdown` frame or SIGTERM drains
@@ -162,18 +125,18 @@ fn serve_daemon(cli: &Cli) -> CliResult {
 /// print only the raw report line (the daemon envelope's trailing
 /// object), so piping to a file yields the same bytes as
 /// `explore --json`.
-fn client(cli: &Cli, request: Option<ExploreRequest>) -> CliResult {
+fn client(cli: &Cli) -> CliResult {
+    let frame = match cli.client_op {
+        ClientOp::Explore => format!(
+            "{{\"op\":\"explore\",\"request\":{}}}",
+            explore_request(cli)?.to_json()
+        ),
+        ClientOp::Stats => "{\"op\":\"stats\"}".to_string(),
+        ClientOp::Ping => "{\"op\":\"ping\"}".to_string(),
+        ClientOp::Shutdown => "{\"op\":\"shutdown\"}".to_string(),
+    };
     let mut stream = TcpStream::connect(&cli.addr)
         .map_err(|e| format!("cannot connect to {}: {e}", cli.addr))?;
-    let frame = match (cli.client_op, &request) {
-        (ClientOp::Explore, Some(req)) => {
-            format!("{{\"op\":\"explore\",\"request\":{}}}", req.to_json())
-        }
-        (ClientOp::Stats, _) => "{\"op\":\"stats\"}".to_string(),
-        (ClientOp::Ping, _) => "{\"op\":\"ping\"}".to_string(),
-        (ClientOp::Shutdown, _) => "{\"op\":\"shutdown\"}".to_string(),
-        (ClientOp::Explore, None) => unreachable!("run() builds the request for explore"),
-    };
     write_frame(&mut stream, &frame)?;
     let response = read_frame(&mut stream)?.ok_or("daemon closed the connection")?;
     if !response.starts_with(&format!("{{\"schema\":\"{SERVE_SCHEMA}\",\"ok\":true")) {
@@ -201,8 +164,7 @@ fn replay(cli: &Cli) -> CliResult {
     Ok(())
 }
 
-fn explore(cli: &Cli, app: CoreGraph) -> CliResult {
-    let (tool, mut ex) = explore_with_library(cli, app)?;
+fn explore(cli: &Cli, tool: &Sunmap, mut ex: Exploration) -> CliResult {
     if cli.validate {
         tool.validate(&mut ex, sim_config(cli), cli.intensity);
     }
@@ -214,8 +176,7 @@ fn explore(cli: &Cli, app: CoreGraph) -> CliResult {
     Ok(())
 }
 
-fn generate(cli: &Cli, app: CoreGraph) -> CliResult {
-    let (tool, ex) = explore_with_library(cli, app)?;
+fn generate(cli: &Cli, tool: &Sunmap, ex: &Exploration) -> CliResult {
     print!("{}", ex.table());
     let best = ex
         .best_candidate()
@@ -465,9 +426,8 @@ fn design_sweep(cli: &Cli, app: CoreGraph) -> CliResult {
 
 /// Fig. 10(c): trace-driven latency of every feasible candidate, with a
 /// JSON report (`simulate.json`) in the output directory.
-fn simulate(cli: &Cli, app: CoreGraph) -> CliResult {
+fn simulate(cli: &Cli, tool: &Sunmap, ex: &Exploration) -> CliResult {
     use sunmap::sim::sweep::{json_number, json_string};
-    let (_, ex) = explore_with_library(cli, app.clone())?;
     println!(
         "{:<12} {:>10} {:>10} {:>9}",
         "topology", "lat (cy)", "packets", "delivery"
@@ -486,7 +446,7 @@ fn simulate(cli: &Cli, app: CoreGraph) -> CliResult {
                 let mut sim = SimSession::builder(&c.graph)
                     .config(sim_config(cli))
                     .build();
-                let stats = sim.run_trace(mapping.evaluation(), &app, cli.intensity);
+                let stats = sim.run_trace(mapping.evaluation(), tool.application(), cli.intensity);
                 println!(
                     "{:<12} {:>10.1} {:>10} {:>8.0}%",
                     c.kind.name(),

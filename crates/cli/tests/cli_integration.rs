@@ -26,6 +26,22 @@ fn explore_selects_a_topology() {
         assert!(stdout.contains(name), "{name} missing:\n{stdout}");
     }
     assert!(stdout.contains("selected: "), "{stdout}");
+
+    // The text renderer's exact bytes for one exploration.
+    let out = sunmap(&["explore", "dsp", "--capacity", "1000"]);
+    assert!(out.status.success(), "{out:?}");
+    assert_eq!(
+        String::from_utf8(out.stdout).unwrap(),
+        "\
+Topo        avg hops   area (mm2)  power (mW)  feasible
+Mesh            2.08        36.35       191.7       yes
+Torus           2.08        37.08       240.4       yes
+Hypercube       2.08        38.21       235.7       yes
+Clos            3.00        35.91       210.1       yes
+Butterfly       2.00        35.99       161.2       yes <= best
+selected: Butterfly 3-ary 2-fly
+"
+    );
 }
 
 #[test]

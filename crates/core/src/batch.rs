@@ -43,16 +43,15 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::mpsc;
 use std::sync::Arc;
 
-use crate::request::{execute, parse_engine, parse_table_prep, ExploreRequest, LruLibraryCache};
+use crate::request::{
+    execute, parse_engine, parse_objective, parse_routing, parse_swap, parse_table_prep,
+    ConstraintMode, ExploreRequest, LruLibraryCache, SimProbe,
+};
 use crate::schema::BATCH_SCHEMA;
 use sunmap_mapping::{Objective, RoutingFunction, SwapStrategy, TablePrep};
 use sunmap_sim::sweep::json_string;
 use sunmap_sim::SimEngine;
 use sunmap_traffic::{AppSource, CoreGraph};
-
-// The request vocabulary lived here before `crate::request` unified
-// the parse paths; re-exported so `sunmap::batch::{...}` stays valid.
-pub use crate::request::{parse_objective, parse_routing, ConstraintMode, SimProbe};
 
 /// Errors from manifest parsing and job expansion.
 #[derive(Debug, Clone, PartialEq)]
@@ -193,7 +192,7 @@ impl BatchManifest {
                 "constraints" => m
                     .constraints
                     .push(ConstraintMode::parse(rest).map_err(bad)?),
-                "swap" => m.swap = Some(crate::request::parse_swap(rest).map_err(bad)?),
+                "swap" => m.swap = Some(parse_swap(rest).map_err(bad)?),
                 "engine" => m.engine = Some(parse_engine(rest).map_err(bad)?),
                 "table-prep" => m.table_prep = Some(parse_table_prep(rest).map_err(bad)?),
                 "simulate" => m.probe = Some(SimProbe::parse(rest).map_err(bad)?),
@@ -314,7 +313,7 @@ pub(crate) fn run_job(job: &BatchJob, cache: &mut LruLibraryCache) -> String {
         job.app.core_count(),
         job.request.capacity,
         job.request.table_prep,
-        |topos| execute(&job.app_spec, &job.app, &job.request, topos).0,
+        |topos| execute(&job.app_spec, job.app.clone(), &job.request, topos).0,
     );
     format!(
         "{{\"schema\":\"{BATCH_SCHEMA}\",\"job\":{},{body}}}",
@@ -529,6 +528,8 @@ fn effective_workers(requested: usize, jobs: usize) -> usize {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::request::report_body;
+    use crate::Sunmap;
     use sunmap_traffic::patterns::TrafficPattern;
 
     const SMALL_GRID: &str = "\
@@ -882,15 +883,37 @@ capacity 1000
 
     #[test]
     fn batch_winner_agrees_with_the_flow() {
-        // The batch engine's shared-table path must select exactly what
-        // Sunmap::explore selects (PR-1's seed assertion: VOPD ->
-        // Butterfly under MinPower).
-        let m = BatchManifest::parse("app vopd\nobjective power\n").unwrap();
-        let lines = collect(&m.jobs().unwrap(), 1);
-        assert!(
-            lines[0].contains("\"winner\":{\"topology\":\"Butterfly\""),
-            "{}",
-            lines[0]
-        );
+        // The golden cost fixtures' (app, objective) cells at their
+        // feasible configurations, plus DSP at 1 MB/s where nothing is
+        // feasible: each batch line must carry exactly the JSON report of
+        // the builder-made tool's `Sunmap::explore` — every per-topology
+        // entry and the winner object.
+        for cell in [
+            "vopd\nrouting MP\ncapacity 500",
+            "mpeg4\nrouting SA\ncapacity 500",
+            "dsp\nrouting MP\ncapacity 1000",
+            "netproc\nrouting SM\ncapacity 500",
+            "dsp\nrouting MP\ncapacity 1",
+        ] {
+            let manifest = format!("app {cell}\nobjective power\nobjective delay\n");
+            let jobs = BatchManifest::parse(&manifest).unwrap().jobs().unwrap();
+            for (job, line) in jobs.iter().zip(collect(&jobs, 1)) {
+                let req = &job.request;
+                let ex = Sunmap::builder((*job.app).clone())
+                    .link_capacity(req.capacity)
+                    .routing(req.routing)
+                    .objective(req.objective)
+                    .build()
+                    .explore()
+                    .unwrap();
+                assert_eq!(ex.best.is_some(), req.capacity > 1.0, "{}", job.id);
+                let body = report_body(&job.app_spec, job.app.core_count(), req, &ex);
+                let batch = format!(
+                    "{{\"schema\":\"{BATCH_SCHEMA}\",\"job\":{},",
+                    json_string(&job.id)
+                );
+                assert_eq!(line, format!("{batch}{body}}}"), "{}", job.id);
+            }
+        }
     }
 }

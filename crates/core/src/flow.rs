@@ -1,12 +1,15 @@
 //! The three-phase SUNMAP flow (paper Fig. 4), plus the optional
-//! phase-4 simulation validation of §6.2.
+//! phase-4 simulation validation of §6.2, with one phase 1–2 executor.
 
+use std::borrow::BorrowMut;
+use std::sync::Arc;
+
+use crate::request::{ConstraintMode, ExploreRequest};
 use sunmap_gen::{build_netlist, emit_dot, emit_systemc, Netlist, SourceFile};
 use sunmap_mapping::{
-    Constraints, Mapper, MapperConfig, Mapping, MappingError, Objective, RouteTable,
+    CostReport, Mapper, MapperConfig, Mapping, MappingError, Objective, RouteTable,
     RoutingFunction, SwapStrategy, TablePrep,
 };
-use sunmap_power::{AreaPowerLibrary, Technology};
 use sunmap_sim::{LatencyStats, SimConfig, SimSession};
 use sunmap_topology::{builders, TopologyError, TopologyGraph, TopologyKind};
 use sunmap_traffic::CoreGraph;
@@ -55,28 +58,13 @@ impl From<TopologyError> for SunmapError {
     }
 }
 
-/// How phase 2 picks the winning topology among feasible mappings.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum SelectionPolicy {
-    /// The paper's phase 2: "the various topologies are evaluated for
-    /// several design objectives and the best topology is chosen" —
-    /// each feasible candidate's delay, area and power are normalised
-    /// to the per-metric minimum and summed; the lowest total wins.
-    /// This is what makes the mesh beat the lower-power Clos for MPEG4
-    /// (Fig. 7b) while the butterfly still sweeps VOPD.
-    #[default]
-    Balanced,
-    /// Select purely by the tool's configured [`Objective`].
-    ByObjective,
-}
-
 /// One topology of the library with its mapping outcome.
 #[derive(Debug)]
 pub struct TopologyCandidate {
     /// Which topology this is.
     pub kind: TopologyKind,
-    /// The built topology graph.
-    pub graph: TopologyGraph,
+    /// The built topology graph (shared with the request route cache).
+    pub graph: Arc<TopologyGraph>,
     /// The mapping, or why none was feasible (e.g. the butterfly row of
     /// paper Fig. 7b).
     pub outcome: Result<Mapping, MappingError>,
@@ -84,7 +72,7 @@ pub struct TopologyCandidate {
 
 impl TopologyCandidate {
     /// The mapping's cost report, if feasible.
-    pub fn report(&self) -> Option<&sunmap_mapping::CostReport> {
+    pub fn report(&self) -> Option<&CostReport> {
         self.outcome.as_ref().ok().map(|m| m.report())
     }
 }
@@ -114,7 +102,8 @@ pub struct Validation {
     pub intensity: f64,
 }
 
-/// Phase 1+2 result: every candidate plus the selected best.
+/// Phase 1+2 result: every candidate plus the selected best — the one
+/// value every report, generation and validation renders from.
 #[derive(Debug)]
 pub struct Exploration {
     /// All evaluated topologies, in library order.
@@ -122,8 +111,6 @@ pub struct Exploration {
     /// Index of the selected topology in `candidates`, if any mapping
     /// was feasible.
     pub best: Option<usize>,
-    /// The objective used for selection.
-    pub objective: Objective,
     /// Phase-4 measurements, when [`Sunmap::validate`] has run.
     pub validation: Option<Validation>,
 }
@@ -132,6 +119,42 @@ impl Exploration {
     /// The selected candidate (phase 2 winner).
     pub fn best_candidate(&self) -> Option<&TopologyCandidate> {
         self.best.map(|i| &self.candidates[i])
+    }
+
+    /// Phase 2, the paper's "the various topologies are evaluated for
+    /// several design objectives and the best topology is chosen": each
+    /// feasible candidate's delay, area and power are normalised to the
+    /// per-metric minimum and summed, and the feasible indices come back
+    /// lowest total first (ties keep library order). This is what makes
+    /// the mesh beat the lower-power Clos for MPEG4 (Fig. 7b) while the
+    /// butterfly still sweeps VOPD. The head is the winner; phase 4 also
+    /// simulates the runner-up, and a probe the top `k`.
+    pub(crate) fn ranked(&self) -> Vec<usize> {
+        let feasible: Vec<(usize, &CostReport)> = self
+            .candidates
+            .iter()
+            .enumerate()
+            .filter_map(|(i, c)| c.report().map(|r| (i, r)))
+            .collect();
+        let min_of = |f: fn(&CostReport) -> f64| {
+            feasible
+                .iter()
+                .map(|(_, r)| f(r))
+                .fold(f64::INFINITY, f64::min)
+                .max(1e-12)
+        };
+        let (dmin, amin, pmin) = (
+            min_of(|r| r.avg_hops),
+            min_of(|r| r.design_area),
+            min_of(|r| r.power_mw),
+        );
+        let score = |r: &CostReport| r.avg_hops / dmin + r.design_area / amin + r.power_mw / pmin;
+        let mut ranked: Vec<(usize, f64)> = feasible.iter().map(|(i, r)| (*i, score(r))).collect();
+        // Stable sort under a total order (NaN scores sort last instead of
+        // feeding sort_by an intransitive comparator); equal scores keep
+        // library order, so the winner matches a min-scan selection.
+        ranked.sort_by(|(_, a), (_, b)| a.total_cmp(b));
+        ranked.into_iter().map(|(i, _)| i).collect()
     }
 
     /// The measured latency of candidate `i`, if phase 4 simulated it.
@@ -201,73 +224,16 @@ pub struct GeneratedDesign {
     pub dot: String,
 }
 
-/// Phase-2 candidate ranking: feasible candidate indices ordered best
-/// to worst under `policy` (ties keep library order). The head of the
-/// list is the phase-2 winner; the second entry is the runner-up that
-/// phase 4 also simulates.
-fn rank_feasible(
-    candidates: &[TopologyCandidate],
-    policy: SelectionPolicy,
-    objective: Objective,
-) -> Vec<usize> {
-    let reports: Vec<Option<&sunmap_mapping::CostReport>> =
-        candidates.iter().map(|c| c.report()).collect();
-    rank_reports(&reports, policy, objective)
-}
-
-/// The ranking core shared with the batch engine: feasible report
-/// indices ordered best to worst under `policy` (ties keep input
-/// order). `None` entries are infeasible candidates.
-pub(crate) fn rank_reports(
-    reports: &[Option<&sunmap_mapping::CostReport>],
-    policy: SelectionPolicy,
-    objective: Objective,
-) -> Vec<usize> {
-    let feasible: Vec<(usize, &sunmap_mapping::CostReport)> = reports
-        .iter()
-        .enumerate()
-        .filter_map(|(i, r)| r.map(|r| (i, r)))
-        .collect();
-    if feasible.is_empty() {
-        return Vec::new();
-    }
-    let score: Box<dyn Fn(&sunmap_mapping::CostReport) -> f64> = match policy {
-        SelectionPolicy::ByObjective => Box::new(move |r| r.cost(objective)),
-        SelectionPolicy::Balanced => {
-            let min_of = |f: fn(&sunmap_mapping::CostReport) -> f64| {
-                feasible
-                    .iter()
-                    .map(|(_, r)| f(r))
-                    .fold(f64::INFINITY, f64::min)
-                    .max(1e-12)
-            };
-            let (dmin, amin, pmin) = (
-                min_of(|r| r.avg_hops),
-                min_of(|r| r.design_area),
-                min_of(|r| r.power_mw),
-            );
-            Box::new(move |r| r.avg_hops / dmin + r.design_area / amin + r.power_mw / pmin)
-        }
-    };
-    let mut ranked: Vec<(usize, f64)> = feasible.iter().map(|(i, r)| (*i, score(r))).collect();
-    // Stable sort under a total order (NaN scores sort last instead of
-    // feeding sort_by an intransitive comparator); equal scores keep
-    // library order, so the winner matches a min-scan selection.
-    ranked.sort_by(|(_, a), (_, b)| a.total_cmp(b));
-    ranked.into_iter().map(|(i, _)| i).collect()
-}
-
-/// Builder for [`Sunmap`] (see the crate-level quickstart).
+/// Builder for [`Sunmap`] (see the crate-level quickstart). Every value
+/// it sets is also an [`ExploreRequest`] field with the same default;
+/// [`Sunmap::for_request`] takes them from a request instead.
 #[derive(Debug, Clone)]
 pub struct SunmapBuilder {
-    app: CoreGraph,
+    app: Arc<CoreGraph>,
     link_capacity: f64,
     routing: RoutingFunction,
     objective: Objective,
-    constraints: Constraints,
-    technology: Technology,
-    max_swap_passes: usize,
-    selection: SelectionPolicy,
+    constraints: ConstraintMode,
     swap_strategy: SwapStrategy,
     table_prep: TablePrep,
 }
@@ -286,27 +252,16 @@ impl SunmapBuilder {
         self
     }
 
-    /// Design objective for mapping and topology selection.
+    /// Design objective for mapping.
     pub fn objective(mut self, objective: Objective) -> Self {
         self.objective = objective;
         self
     }
 
-    /// Feasibility constraints.
-    pub fn constraints(mut self, constraints: Constraints) -> Self {
+    /// Feasibility regime (default [`ConstraintMode::Strict`];
+    /// [`ConstraintMode::Relaxed`] is the paper's §6.2 mode).
+    pub fn constraints(mut self, constraints: ConstraintMode) -> Self {
         self.constraints = constraints;
-        self
-    }
-
-    /// Technology node for the area–power libraries (default 0.1 µm).
-    pub fn technology(mut self, technology: Technology) -> Self {
-        self.technology = technology;
-        self
-    }
-
-    /// Improvement-pass budget for the pair-wise-swap phase.
-    pub fn max_swap_passes(mut self, passes: usize) -> Self {
-        self.max_swap_passes = passes;
         self
     }
 
@@ -328,13 +283,6 @@ impl SunmapBuilder {
         self
     }
 
-    /// How phase 2 selects the winner (default:
-    /// [`SelectionPolicy::Balanced`]).
-    pub fn selection(mut self, selection: SelectionPolicy) -> Self {
-        self.selection = selection;
-        self
-    }
-
     /// Finalises the configuration.
     pub fn build(self) -> Sunmap {
         Sunmap { inner: self }
@@ -352,16 +300,29 @@ impl Sunmap {
     /// Starts configuring a run for `app`.
     pub fn builder(app: CoreGraph) -> SunmapBuilder {
         SunmapBuilder {
-            app,
+            app: Arc::new(app),
             link_capacity: 500.0,
             routing: RoutingFunction::MinPath,
             objective: Objective::MinDelay,
-            constraints: Constraints::default(),
-            technology: Technology::um_0_10(),
-            max_swap_passes: 4,
-            selection: SelectionPolicy::default(),
+            constraints: ConstraintMode::Strict,
             swap_strategy: SwapStrategy::Auto,
             table_prep: TablePrep::Auto,
+        }
+    }
+
+    /// The tool `req` describes for its resolved application `app` (the
+    /// request's engine and probe are the caller's to apply).
+    pub fn for_request(req: &ExploreRequest, app: Arc<CoreGraph>) -> Sunmap {
+        Sunmap {
+            inner: SunmapBuilder {
+                app,
+                link_capacity: req.capacity,
+                routing: req.routing,
+                objective: req.objective,
+                constraints: req.constraints,
+                swap_strategy: req.swap,
+                table_prep: req.table_prep,
+            },
         }
     }
 
@@ -370,15 +331,18 @@ impl Sunmap {
         &self.inner.app
     }
 
-    /// The mapper configuration this tool uses.
+    /// The mapper configuration this tool uses — the one place the
+    /// exploration values become a [`MapperConfig`] (4 swap passes; the
+    /// mapper prices with the paper's 0.1 µm area–power library).
     pub fn mapper_config(&self) -> MapperConfig {
+        let s = &self.inner;
         MapperConfig {
-            routing: self.inner.routing,
-            objective: self.inner.objective,
-            constraints: self.inner.constraints,
-            max_swap_passes: self.inner.max_swap_passes,
-            swap_strategy: self.inner.swap_strategy,
-            table_prep: self.inner.table_prep,
+            routing: s.routing,
+            objective: s.objective,
+            constraints: s.constraints.constraints(),
+            swap_strategy: s.swap_strategy,
+            table_prep: s.table_prep,
+            ..MapperConfig::default()
         }
     }
 
@@ -399,36 +363,40 @@ impl Sunmap {
 
     /// Phase 1+2 over a caller-supplied topology list (the paper notes
     /// other topologies "can be easily added to the topology library").
+    /// One route table is resident at a time: each is built, used, dropped.
     pub fn explore_library(&self, library: Vec<TopologyGraph>) -> Exploration {
+        let prep = self.inner.table_prep;
+        self.explore_candidates(library.into_iter().map(|graph| {
+            let table = RouteTable::with_prep(&graph, prep);
+            (Arc::new(graph), table)
+        }))
+    }
+
+    /// Phases 1 and 2 for every surface: maps the application onto each
+    /// candidate through its route table (owned per call, or borrowed
+    /// warm from the request cache) and ranks the outcomes.
+    pub(crate) fn explore_candidates<T: BorrowMut<RouteTable>>(
+        &self,
+        candidates: impl IntoIterator<Item = (Arc<TopologyGraph>, T)>,
+    ) -> Exploration {
         let config = self.mapper_config();
-        let candidates: Vec<TopologyCandidate> = library
+        let candidates = candidates
             .into_iter()
-            .map(|graph| {
-                let lib = AreaPowerLibrary::new(self.inner.technology);
-                // One route table per library candidate: the mapper's
-                // swap search shares its caches across every pass, and
-                // callers re-exploring the same graphs can keep their
-                // own tables via Mapper::with_route_table.
-                let mut table = RouteTable::with_prep(&graph, config.table_prep);
-                let outcome = Mapper::with_library(&graph, &self.inner.app, config, lib)
-                    .with_route_table(&mut table)
-                    .run();
-                TopologyCandidate {
-                    kind: graph.kind(),
-                    graph,
-                    outcome,
-                }
+            .map(|(graph, mut table)| TopologyCandidate {
+                kind: graph.kind(),
+                outcome: Mapper::new(&graph, &self.inner.app, config)
+                    .with_route_table(table.borrow_mut())
+                    .run(),
+                graph,
             })
             .collect();
-        let best = rank_feasible(&candidates, self.inner.selection, self.inner.objective)
-            .first()
-            .copied();
-        Exploration {
+        let mut exploration = Exploration {
             candidates,
-            best,
-            objective: self.inner.objective,
+            best: None,
             validation: None,
-        }
+        };
+        exploration.best = exploration.ranked().first().copied();
+        exploration
     }
 
     /// Phase 4 (paper §6.2): trace-simulates the phase-2 winner and the
@@ -437,12 +405,8 @@ impl Sunmap {
     /// then carries simulated numbers next to the analytical ones. A
     /// no-op when nothing is feasible.
     pub fn validate(&self, exploration: &mut Exploration, config: SimConfig, intensity: f64) {
-        let ranked = rank_feasible(
-            &exploration.candidates,
-            self.inner.selection,
-            self.inner.objective,
-        );
-        let entries: Vec<ValidationEntry> = ranked
+        let entries: Vec<ValidationEntry> = exploration
+            .ranked()
             .into_iter()
             .take(2)
             .map(|i| {
@@ -490,15 +454,11 @@ impl Sunmap {
     pub fn run(&self, design_name: &str) -> Result<(Exploration, GeneratedDesign), SunmapError> {
         let exploration = self.explore()?;
         let Some(best) = exploration.best else {
+            // Without a winner every outcome is an error.
             let failures = exploration
                 .candidates
                 .into_iter()
-                .map(|c| {
-                    let err = c.outcome.err().unwrap_or(MappingError::InvalidPlacement(
-                        "feasible but unselected".to_string(),
-                    ));
-                    (c.kind, err)
-                })
+                .filter_map(|c| c.outcome.err().map(|e| (c.kind, e)))
                 .collect();
             return Err(SunmapError::NoFeasibleTopology(failures));
         };
@@ -595,6 +555,15 @@ mod tests {
         assert!(ex.best.is_none());
         tool.validate(&mut ex, SimConfig::fast(), 0.3);
         assert!(ex.validation.is_none());
+    }
+
+    #[test]
+    fn empty_application_is_a_topology_error() {
+        let err = Sunmap::builder(CoreGraph::new())
+            .build()
+            .explore()
+            .unwrap_err();
+        assert!(matches!(err, SunmapError::Topology(_)), "{err}");
     }
 
     #[test]

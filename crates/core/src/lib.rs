@@ -37,13 +37,12 @@
 //!
 //! The subsystem crates are re-exported as modules: [`topology`],
 //! [`traffic`], [`floorplan`], [`power`], [`mapping`], [`sim`] and
-//! [`gen`]. The [`batch`] module turns the flow into a throughput
-//! engine: manifest-driven grids of applications × configurations,
-//! sharded across threads with shared per-topology route state. The
-//! [`request`] module is the unified entry point every surface builds
-//! on (one serializable [`ExploreRequest`], one validate path, one
-//! report renderer), and [`serve`] + [`metrics`] turn it into a
-//! long-running daemon with warm route caches and live counters. The
+//! [`gen`]. Every surface runs phases 1–2 through one executor into one
+//! [`Exploration`], which the text table, the JSON report, generation,
+//! validation and probes render: [`Sunmap`] builds each route table in
+//! turn, while [`request`] (one serializable [`ExploreRequest`], one
+//! validate path) keeps them warm for [`batch`] grids sharded across
+//! threads and for the [`serve`] daemon with its live [`metrics`]. The
 //! [`frame`] module is the shared length-prefixed wire codec, and
 //! [`shard`] scales a batch across fault-tolerant worker *processes*:
 //! an IO-free coordinator/worker state-machine pair whose chaos
@@ -63,8 +62,8 @@ pub mod shard_sim;
 mod sweep;
 
 pub use flow::{
-    Exploration, GeneratedDesign, SelectionPolicy, Sunmap, SunmapBuilder, SunmapError,
-    TopologyCandidate, Validation, ValidationEntry,
+    Exploration, GeneratedDesign, Sunmap, SunmapBuilder, SunmapError, TopologyCandidate,
+    Validation, ValidationEntry,
 };
 pub use pareto::{pareto_front, ParetoPoint};
 pub use sweep::{pareto_exploration, routing_bandwidth_sweep, RoutingSweepEntry};

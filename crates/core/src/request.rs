@@ -1,17 +1,15 @@
 //! One request type for every exploration surface.
 //!
-//! Historically each surface parsed its own configuration: the batch
-//! manifest ([`crate::batch::BatchManifest`]), the CLI's `explore` /
-//! `simulate` flag handling, and (new) serve frames. An
-//! [`ExploreRequest`] is the one serializable description of a mapping
-//! exploration — application source, objective, routing function, link
-//! capacity, constraint regime, swap strategy and an optional
-//! simulation probe — with a single validate path and a canonical JSON
-//! form that round-trips ([`ExploreRequest::to_json`] /
+//! An [`ExploreRequest`] is the one serializable description of a
+//! mapping exploration — application source, objective, routing
+//! function, link capacity, constraint regime, swap strategy and an
+//! optional simulation probe — with a single validate path and a
+//! canonical JSON form that round-trips ([`ExploreRequest::to_json`] /
 //! [`ExploreRequest::from_json`]).
 //!
-//! The module also owns the shared *execution* path: [`execute`]
-//! renders the report body every producer wraps —
+//! The module also owns the cached execution path: [`execute`] runs
+//! [`Sunmap::explore`]'s executor over warm route tables and renders
+//! the report body every producer wraps —
 //!
 //! * `{"schema":"sunmap-batch/1","job":<id>,` + body + `}` per batch
 //!   JSONL line;
@@ -48,15 +46,14 @@
 //! # Ok::<(), Box<dyn std::error::Error>>(())
 //! ```
 
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 use std::time::Instant;
 
-use crate::flow::{rank_reports, SelectionPolicy};
+use crate::flow::{Exploration, Sunmap};
 use crate::json::Json;
 use crate::schema::REPORT_SCHEMA;
 use sunmap_mapping::{
-    Constraints, CostReport, Mapper, MapperConfig, Objective, RouteTable, RoutingFunction,
-    SwapStrategy, TablePrep,
+    Constraints, Mapping, Objective, RouteTable, RoutingFunction, SwapStrategy, TablePrep,
 };
 use sunmap_sim::sweep::{json_number, json_string, stats_json_fields};
 use sunmap_sim::{LatencyStats, RoutePlan, SimConfig, SimEngine, SimSession};
@@ -489,12 +486,12 @@ impl ExploreRequest {
 
 /// Per-topology route state shared across every request mapping onto
 /// that topology: the graph, its [`RouteTable`] (reused via
-/// [`Mapper::with_route_table`]) and, lazily, the simulation
-/// [`RoutePlan`] compiled from that same table.
+/// [`sunmap_mapping::Mapper::with_route_table`]) and, lazily, the
+/// simulation [`RoutePlan`] compiled from that same table.
 #[derive(Debug)]
 pub struct TopoState {
     /// The candidate topology.
-    pub graph: TopologyGraph,
+    pub graph: Arc<TopologyGraph>,
     /// Its route table, warmed a little more by every request.
     pub table: RouteTable,
     /// The compiled probe plan, if a probe has run on this topology.
@@ -520,7 +517,7 @@ impl CandidateLibrary {
             .into_iter()
             .map(|graph| TopoState {
                 table: RouteTable::with_prep(&graph, prep),
-                graph,
+                graph: Arc::new(graph),
                 plan: None,
             })
             .collect();
@@ -673,192 +670,185 @@ pub struct ExecStats {
 
 /// Executes `req` for the already-resolved `app` against the
 /// per-topology states `topos` and renders the report *body*: the
-/// fields from `"app":` through `"winner":...` without surrounding
-/// braces, ready to be wrapped in a schema envelope. `spec` is the
-/// application spelling to report (batch passes the manifest's
-/// as-written spec; the one-shot and serve paths pass the canonical
-/// [`AppSource`] form).
+/// fields from `"app":` through `"winner":...` (and any probe results)
+/// without surrounding braces, ready to be wrapped in a schema
+/// envelope. `spec` is the application spelling to report (batch passes
+/// the manifest's as-written spec; the one-shot and serve paths pass
+/// the canonical [`AppSource`] form).
 pub fn execute(
     spec: &str,
-    app: &CoreGraph,
+    app: Arc<CoreGraph>,
     req: &ExploreRequest,
     topos: &mut [TopoState],
 ) -> (String, ExecStats) {
-    let config = MapperConfig {
-        routing: req.routing,
-        objective: req.objective,
-        constraints: req.constraints.constraints(),
-        swap_strategy: req.swap,
-        table_prep: req.table_prep,
-        ..MapperConfig::default()
-    };
+    let cores = app.core_count();
+    let tool = Sunmap::for_request(req, app);
     // lint:allow(wall-clock): phase-latency instrumentation feeding the report; no logic branches on time
     let mapping_start = Instant::now();
-    let outcomes: Vec<_> = topos
-        .iter_mut()
-        .map(|tc| {
-            Mapper::new(&tc.graph, app, config)
-                .with_route_table(&mut tc.table)
-                .run()
-        })
-        .collect();
-    let mapping_nanos = u64::try_from(mapping_start.elapsed().as_nanos()).unwrap_or(u64::MAX);
-    let reports: Vec<Option<&CostReport>> = outcomes
-        .iter()
-        .map(|o| o.as_ref().ok().map(|m| m.report()))
-        .collect();
-    let ranked = rank_reports(&reports, SelectionPolicy::Balanced, req.objective);
-    let winner = ranked.first().copied();
+    let exploration =
+        tool.explore_candidates(topos.iter_mut().map(|tc| (tc.graph.clone(), &mut tc.table)));
+    let mapping_nanos = nanos_since(mapping_start);
+    let mut body = report_body(spec, cores, req, &exploration);
+    let mut probe_nanos = 0;
+    if let (Some(probe), Some(_)) = (&req.probe, exploration.best) {
+        // lint:allow(wall-clock): probe-latency instrumentation feeding the report; no logic branches on time
+        let probe_start = Instant::now();
+        body.push_str(&probe_fields(probe, req.engine, &exploration, topos));
+        probe_nanos = nanos_since(probe_start);
+    }
+    let (feasible, evaluated) = feasible_and_evaluated(&exploration);
+    let stats = ExecStats {
+        candidates: exploration.candidates.len(),
+        feasible,
+        evaluated,
+        mapping_nanos,
+        probe_nanos,
+    };
+    (body, stats)
+}
 
+fn nanos_since(start: Instant) -> u64 {
+    u64::try_from(start.elapsed().as_nanos()).unwrap_or(u64::MAX)
+}
+
+/// The feasible candidates' count and their total evaluated mappings.
+fn feasible_and_evaluated(exploration: &Exploration) -> (usize, usize) {
+    let feasible = exploration
+        .candidates
+        .iter()
+        .filter_map(|c| c.outcome.as_ref().ok());
+    let evaluated = feasible.clone().map(Mapping::evaluated_candidates).sum();
+    (feasible.count(), evaluated)
+}
+
+/// Renders an exploration's report body up to the winner object;
+/// `cores` is the application's core count.
+pub(crate) fn report_body(
+    spec: &str,
+    cores: usize,
+    req: &ExploreRequest,
+    exploration: &Exploration,
+) -> String {
+    let (feasible, evaluated) = feasible_and_evaluated(exploration);
     let mut body = format!(
-        "\"app\":{},\"cores\":{},\"capacity\":{},\"objective\":{},\"routing\":{},\
-         \"constraints\":{}",
+        "\"app\":{},\"cores\":{cores},\"capacity\":{},\"objective\":{},\"routing\":{},\
+         \"constraints\":{},\"candidates\":{},\"feasible\":{feasible},\
+         \"evaluated\":{evaluated},\"topologies\":[",
         json_string(spec),
-        app.core_count(),
         json_number(req.capacity),
         json_string(&req.objective.to_string()),
         json_string(req.routing.abbrev()),
         json_string(req.constraints.name()),
+        exploration.candidates.len(),
     );
-    let feasible = reports.iter().filter(|r| r.is_some()).count();
-    let evaluated: usize = outcomes
-        .iter()
-        .filter_map(|o| o.as_ref().ok().map(|m| m.evaluated_candidates()))
-        .sum();
-    body.push_str(&format!(
-        ",\"candidates\":{},\"feasible\":{feasible},\"evaluated\":{evaluated}",
-        topos.len()
-    ));
-    body.push_str(",\"topologies\":[");
-    for (i, tc) in topos.iter().enumerate() {
+    for (i, c) in exploration.candidates.iter().enumerate() {
         if i > 0 {
             body.push(',');
         }
-        match reports[i] {
+        let topology = json_string(c.kind.name());
+        match c.report() {
             Some(r) => body.push_str(&format!(
-                "{{\"topology\":{},\"feasible\":true,\"avg_hops\":{},\
+                "{{\"topology\":{topology},\"feasible\":true,\"avg_hops\":{},\
                  \"design_area\":{},\"power_mw\":{}}}",
-                json_string(tc.graph.kind().name()),
                 json_number(r.avg_hops),
                 json_number(r.design_area),
                 json_number(r.power_mw),
             )),
-            None => body.push_str(&format!(
-                "{{\"topology\":{},\"feasible\":false}}",
-                json_string(tc.graph.kind().name())
-            )),
+            None => body.push_str(&format!("{{\"topology\":{topology},\"feasible\":false}}")),
         }
     }
     body.push(']');
-    let mut probe_nanos = 0u64;
-    match winner {
-        Some(w) => {
-            let r = reports[w].expect("ranked candidates are feasible");
+    match exploration.best_candidate() {
+        Some(c) => {
+            let mapping = c.outcome.as_ref().expect("the winner is feasible");
+            let r = mapping.report();
             body.push_str(&format!(
                 ",\"winner\":{{\"topology\":{},\"avg_hops\":{},\"design_area\":{},\
                  \"floorplan_area\":{},\"power_mw\":{},\"max_link_load\":{},\
                  \"evaluated\":{}}}",
-                json_string(topos[w].graph.kind().name()),
+                json_string(c.kind.name()),
                 json_number(r.avg_hops),
                 json_number(r.design_area),
                 json_number(r.floorplan_area),
                 json_number(r.power_mw),
                 json_number(r.max_link_load),
-                outcomes[w]
-                    .as_ref()
-                    .map(|m| m.evaluated_candidates())
-                    .expect("winner is feasible"),
+                mapping.evaluated_candidates(),
             ));
-            if let Some(probe) = &req.probe {
-                // lint:allow(wall-clock): probe-latency instrumentation feeding the report; no logic branches on time
-                let probe_start = Instant::now();
-                let config = SimConfig {
-                    engine: req.engine,
-                    ..SimConfig::default()
-                };
-                let k = probe.top_k.min(ranked.len());
-                let probed: Vec<(usize, LatencyStats)> = ranked
-                    .iter()
-                    .take(k)
-                    .map(|&cand| {
-                        let tc = &mut topos[cand];
-                        let mut builder = SimSession::builder(&tc.graph).config(config);
-                        if req.engine != SimEngine::Reference {
-                            // The probe plan comes from the same shared
-                            // table the mapper used; compiled once per
-                            // topology, reused by every later request
-                            // that probes the same candidate. The
-                            // reference engine never consumes a plan.
-                            let plan = match &tc.plan {
-                                Some(plan) => plan.clone(),
-                                None => {
-                                    let plan = Arc::new(RoutePlan::synthetic(
-                                        &tc.graph,
-                                        &mut tc.table,
-                                        &config,
-                                    ));
-                                    tc.plan = Some(plan.clone());
-                                    plan
-                                }
-                            };
-                            builder = builder.plan(plan);
-                        }
-                        let stats = builder.build().run_synthetic(&probe.pattern, probe.rate);
-                        (cand, stats)
-                    })
-                    .collect();
-                let (_, winner_stats) = &probed[0];
-                body.push_str(&format!(
-                    ",\"sim\":{{\"pattern\":{},\"rate\":{},{}}}",
-                    json_string(probe.pattern.name()),
-                    json_number(probe.rate),
-                    stats_json_fields(winner_stats),
-                ));
-                if probe.top_k > 1 {
-                    // Per-candidate analytical-vs-measured drift: the
-                    // zero-load latency model is avg_hops switch
-                    // traversals plus serialization of the body flits.
-                    body.push_str(",\"probes\":[");
-                    for (i, (cand, stats)) in probed.iter().enumerate() {
-                        if i > 0 {
-                            body.push(',');
-                        }
-                        let r = reports[*cand].expect("ranked candidates are feasible");
-                        let analytical = r.avg_hops * (1.0 + config.switch_pipeline as f64)
-                            + (config.packet_flits as f64 - 1.0);
-                        let drift = if analytical > 0.0 {
-                            (stats.avg_latency - analytical) / analytical
-                        } else {
-                            0.0
-                        };
-                        body.push_str(&format!(
-                            "{{\"rank\":{},\"topology\":{},\"engine\":{},{},\
-                             \"analytical_latency_cycles\":{},\"latency_drift\":{}}}",
-                            i + 1,
-                            json_string(topos[*cand].graph.kind().name()),
-                            json_string(req.engine.resolve(probe.rate).name()),
-                            stats_json_fields(stats),
-                            json_number(analytical),
-                            json_number(drift),
-                        ));
-                    }
-                    body.push(']');
-                }
-                probe_nanos = u64::try_from(probe_start.elapsed().as_nanos()).unwrap_or(u64::MAX);
-            }
         }
         None => body.push_str(",\"winner\":null"),
     }
-    (
-        body,
-        ExecStats {
-            candidates: topos.len(),
-            feasible,
-            evaluated,
-            mapping_nanos,
-            probe_nanos,
-        },
-    )
+    body
+}
+
+/// Renders a probe's report fields: the winner's `"sim"` object and,
+/// for `top_k > 1`, the `"probes"` array. Each probed topology's plan is
+/// compiled once from the table the mapper used and reused by every
+/// later request probing it (the reference engine never takes a plan).
+fn probe_fields(
+    probe: &SimProbe,
+    engine: SimEngine,
+    exploration: &Exploration,
+    topos: &mut [TopoState],
+) -> String {
+    let config = SimConfig {
+        engine,
+        ..SimConfig::default()
+    };
+    let probed: Vec<(usize, LatencyStats)> = exploration
+        .ranked()
+        .into_iter()
+        .take(probe.top_k)
+        .map(|cand| {
+            let tc = &mut topos[cand];
+            let mut builder = SimSession::builder(&tc.graph).config(config);
+            if engine != SimEngine::Reference {
+                let plan = tc.plan.get_or_insert_with(|| {
+                    Arc::new(RoutePlan::synthetic(&tc.graph, &mut tc.table, &config))
+                });
+                builder = builder.plan(plan.clone());
+            }
+            let stats = builder.build().run_synthetic(&probe.pattern, probe.rate);
+            (cand, stats)
+        })
+        .collect();
+    let mut out = format!(
+        ",\"sim\":{{\"pattern\":{},\"rate\":{},{}}}",
+        json_string(probe.pattern.name()),
+        json_number(probe.rate),
+        stats_json_fields(&probed[0].1),
+    );
+    if probe.top_k > 1 {
+        // Per-candidate analytical-vs-measured drift: the zero-load
+        // latency model is avg_hops switch traversals plus
+        // serialization of the body flits.
+        out.push_str(",\"probes\":[");
+        for (i, (cand, stats)) in probed.iter().enumerate() {
+            if i > 0 {
+                out.push(',');
+            }
+            let c = &exploration.candidates[*cand];
+            let r = c.report().expect("ranked candidates are feasible");
+            let analytical = r.avg_hops * (1.0 + config.switch_pipeline as f64)
+                + (config.packet_flits as f64 - 1.0);
+            let drift = if analytical > 0.0 {
+                (stats.avg_latency - analytical) / analytical
+            } else {
+                0.0
+            };
+            out.push_str(&format!(
+                "{{\"rank\":{},\"topology\":{},\"engine\":{},{},\
+                 \"analytical_latency_cycles\":{},\"latency_drift\":{}}}",
+                i + 1,
+                json_string(c.kind.name()),
+                json_string(engine.resolve(probe.rate).name()),
+                stats_json_fields(stats),
+                json_number(analytical),
+                json_number(drift),
+            ));
+        }
+        out.push(']');
+    }
+    out
 }
 
 /// Everything [`RequestRunner::run`] produces for one request.
@@ -874,13 +864,12 @@ pub struct RequestOutcome {
     pub route_table_nanos: u64,
 }
 
-/// A socketless request executor over an owned warm cache — the
-/// one-shot CLI path, the replay verifier and the throughput bench all
-/// run requests through this; the serve daemon inlines the same
-/// checkout/execute/checkin sequence against its shared cache.
+/// A socketless request executor over a warm cache — the one-shot CLI
+/// path, the replay verifier, the throughput bench and (shared by its
+/// worker threads) the serve daemon all run requests through this.
 #[derive(Debug)]
 pub struct RequestRunner {
-    cache: LruLibraryCache,
+    cache: Mutex<LruLibraryCache>,
 }
 
 impl RequestRunner {
@@ -888,7 +877,7 @@ impl RequestRunner {
     /// libraries.
     pub fn new(cache_entries: usize) -> RequestRunner {
         RequestRunner {
-            cache: LruLibraryCache::new(cache_entries),
+            cache: Mutex::new(LruLibraryCache::new(cache_entries)),
         }
     }
 
@@ -901,14 +890,22 @@ impl RequestRunner {
     /// Validation and application-resolution failures, as
     /// human-readable messages.
     pub fn run(&mut self, req: &ExploreRequest) -> Result<RequestOutcome, String> {
+        self.run_shared(req)
+    }
+
+    /// [`RequestRunner::run`] through a shared reference, for threads
+    /// sharing one cache: the lock is held only for the lookup and the
+    /// check-in, never for the mapping.
+    pub(crate) fn run_shared(&self, req: &ExploreRequest) -> Result<RequestOutcome, String> {
         req.validate()?;
         let app = req.app.resolve()?;
-        let spec = req.app.to_string();
-        let (mut library, cache_hit, route_table_nanos) =
-            self.cache
-                .checkout(app.core_count(), req.capacity, req.table_prep);
-        let (body, stats) = execute(&spec, &app, req, &mut library.topos);
-        self.cache.checkin(library);
+        let (mut library, cache_hit, route_table_nanos) = self
+            .cache
+            .lock()
+            .expect("cache lock")
+            .checkout(app.core_count(), req.capacity, req.table_prep);
+        let (body, stats) = execute(&req.app.to_string(), Arc::new(app), req, &mut library.topos);
+        self.cache.lock().expect("cache lock").checkin(library);
         Ok(RequestOutcome {
             line: format!("{{\"schema\":\"{REPORT_SCHEMA}\",{body}}}"),
             stats,

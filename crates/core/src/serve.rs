@@ -23,9 +23,9 @@
 //! integration test asserts byte-identity against the one-shot CLI.
 //!
 //! Explore frames parse into the same [`ExploreRequest`] as every
-//! other surface and execute through the same [`execute`] path, with
-//! route tables served from a shared [`LruLibraryCache`] — the warm
-//! cache is the point of running a daemon instead of a process per
+//! other surface and run through one [`RequestRunner`] shared by the
+//! worker threads, its route tables served from one warm cache — the
+//! warm cache is the point of running a daemon instead of a process per
 //! request. Counters and per-phase latency histograms live in a shared
 //! [`Metrics`], answered live by `stats` frames and returned (and
 //! dumped by the CLI) on shutdown.
@@ -53,8 +53,8 @@ use std::time::{Duration, Instant};
 use crate::frame::read_frame_draining;
 use crate::json::Json;
 use crate::metrics::Metrics;
-use crate::request::{execute, ExploreRequest, LruLibraryCache, RequestRunner};
-use crate::schema::{REPORT_SCHEMA, SERVE_LOG_SCHEMA, SERVE_SCHEMA};
+use crate::request::{ExploreRequest, RequestRunner};
+use crate::schema::{SERVE_LOG_SCHEMA, SERVE_SCHEMA};
 use sunmap_mapping::timing;
 
 pub use crate::frame::{read_frame, write_frame, MAX_FRAME_BYTES};
@@ -169,11 +169,11 @@ where
     timing::take_floorplan_nanos(); // discard anything accumulated before
 
     let metrics = Metrics::new();
-    let cache = Mutex::new(LruLibraryCache::new(config.cache_entries));
+    let runner = RequestRunner::new(config.cache_entries);
     let log_seq = AtomicU64::new(0);
     let server = Server {
         metrics: &metrics,
-        cache: &cache,
+        runner: &runner,
         log: log.as_ref(),
         log_seq: &log_seq,
     };
@@ -251,7 +251,7 @@ pub(crate) fn install_sigterm_handler() {
 /// The shared state a worker thread sees.
 struct Server<'a> {
     metrics: &'a Metrics,
-    cache: &'a Mutex<LruLibraryCache>,
+    runner: &'a RequestRunner,
     log: Option<&'a Mutex<BufWriter<File>>>,
     log_seq: &'a AtomicU64,
 }
@@ -361,32 +361,21 @@ impl Server<'_> {
         }
     }
 
-    /// The daemon's explore path: the same checkout/[`execute`]/checkin
-    /// sequence as [`RequestRunner::run`], against the shared cache —
-    /// the lock is held only for the lookup, never for the mapping.
+    /// The daemon's explore path: [`RequestRunner::run`]'s request
+    /// function on the shared runner, plus metrics and the replay log.
     fn run_explore(&self, req: &ExploreRequest) -> Result<(String, bool), String> {
         let started = Instant::now();
-        req.validate()?;
-        let app = req.app.resolve()?;
-        let spec = req.app.to_string();
-        let (mut library, cache_hit, build_nanos) = self
-            .cache
-            .lock()
-            .expect("cache lock")
-            .checkout(app.core_count(), req.capacity, req.table_prep);
-        let (body, stats) = execute(&spec, &app, req, &mut library.topos);
-        self.cache.lock().expect("cache lock").checkin(library);
-        let line = format!("{{\"schema\":\"{REPORT_SCHEMA}\",{body}}}");
-
+        let outcome = self.runner.run_shared(req)?;
+        let stats = outcome.stats;
         let m = self.metrics;
         m.explore_requests.fetch_add(1, Ordering::Relaxed);
         m.evaluations
             .fetch_add(stats.evaluated as u64, Ordering::Relaxed);
-        if cache_hit {
+        if outcome.cache_hit {
             m.cache_hits.fetch_add(1, Ordering::Relaxed);
         } else {
             m.cache_misses.fetch_add(1, Ordering::Relaxed);
-            m.route_table_build.record_nanos(build_nanos);
+            m.route_table_build.record_nanos(outcome.route_table_nanos);
         }
         m.swap_search.record_nanos(stats.mapping_nanos);
         // Process-level attribution: under concurrent requests the
@@ -405,14 +394,15 @@ impl Server<'_> {
             let seq = self.log_seq.fetch_add(1, Ordering::Relaxed);
             let entry = format!(
                 "{{\"schema\":\"{SERVE_LOG_SCHEMA}\",\"seq\":{seq},\"request\":{},\
-                 \"report\":{line}}}",
-                req.to_json()
+                 \"report\":{}}}",
+                req.to_json(),
+                outcome.line
             );
             let mut log = log.lock().expect("log lock");
             // Flush per line: the log must survive an abrupt kill.
             let _ = writeln!(log, "{entry}").and_then(|()| log.flush());
         }
-        Ok((line, cache_hit))
+        Ok((outcome.line, outcome.cache_hit))
     }
 }
 

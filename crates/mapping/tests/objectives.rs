@@ -30,6 +30,28 @@ fn min_bandwidth_objective_minimises_max_link_load() {
 }
 
 #[test]
+fn technology_scaling_propagates_to_reports() {
+    // VOPD on its standard-library mesh, priced at the default 0.1 µm
+    // and at 0.18 µm: the coarser node must cost area and power.
+    let app = benchmarks::vopd();
+    let (rows, cols) = builders::grid_dims(app.core_count());
+    let g = builders::mesh(rows, cols, 500.0).unwrap();
+    let config = MapperConfig::default();
+    let fine = Mapper::new(&g, &app, config).run().unwrap();
+    let coarse = Mapper::with_library(
+        &g,
+        &app,
+        config,
+        AreaPowerLibrary::new(Technology::um_0_18()),
+    )
+    .run()
+    .unwrap();
+    let (f, c) = (fine.report(), coarse.report());
+    assert!(c.switch_area > 2.0 * f.switch_area, "area must scale up");
+    assert!(c.power_mw > f.power_mw, "power must scale up");
+}
+
+#[test]
 fn min_area_objective_never_loses_on_area() {
     let g = builders::butterfly(4, 2, 500.0).unwrap();
     let app = benchmarks::vopd();

@@ -11,7 +11,7 @@
 //! (release strongly recommended: this simulates tens of thousands of
 //! cycles per topology).
 
-use sunmap::mapping::Constraints;
+use sunmap::request::ConstraintMode;
 use sunmap::sim::{adversarial_pattern, latency_sweep, SimConfig};
 use sunmap::topology::builders;
 use sunmap::traffic::benchmarks;
@@ -25,7 +25,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         .link_capacity(500.0)
         .routing(RoutingFunction::SplitMinPaths)
         .objective(Objective::MinDelay)
-        .constraints(Constraints::relaxed_bandwidth())
+        .constraints(ConstraintMode::Relaxed)
         .build();
     let ex = tool.explore()?;
     println!("{:<10} {:>11} {:>11}", "Topo", "area (mm2)", "power (mW)");

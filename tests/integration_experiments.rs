@@ -3,10 +3,11 @@
 //! fall. If one of these fails, a model change broke the
 //! reproduction.
 
+use sunmap::request::ConstraintMode;
 use sunmap::sim::{adversarial_pattern, SimConfig, SimSession};
 use sunmap::topology::builders;
 use sunmap::traffic::benchmarks;
-use sunmap::{routing_bandwidth_sweep, Constraints, Objective, RoutingFunction, Sunmap};
+use sunmap::{routing_bandwidth_sweep, Objective, RoutingFunction, Sunmap};
 
 fn vopd_exploration() -> sunmap::Exploration {
     Sunmap::builder(benchmarks::vopd())
@@ -131,7 +132,7 @@ fn fig8b_clos_outlasts_other_topologies_under_adversarial_load() {
 fn fig8cd_clos_close_to_butterfly_on_area_and_power() {
     let ex = Sunmap::builder(benchmarks::network_processor(100.0))
         .routing(RoutingFunction::SplitMinPaths)
-        .constraints(Constraints::relaxed_bandwidth())
+        .constraints(ConstraintMode::Relaxed)
         .build()
         .explore()
         .unwrap();
