@@ -54,7 +54,7 @@ pub struct Cli {
     /// Jobs per lease for `batch-coordinator`.
     pub grain: usize,
     /// Phase-3 swap strategy (explore, generate, simulate and `client
-    /// explore`; `batch` manifests set it per job).
+    /// explore`; `batch` jobs always run `auto`).
     pub swap: SwapStrategy,
     /// Simulation engine for `simulate`, `sweep`, `explore --validate`
     /// and probes (`--engine auto|flat|event|reference`).

@@ -44,11 +44,11 @@ use std::sync::mpsc;
 use std::sync::Arc;
 
 use crate::request::{
-    execute, parse_engine, parse_objective, parse_routing, parse_swap, parse_table_prep,
-    ConstraintMode, ExploreRequest, LruLibraryCache, SimProbe,
+    execute, parse_engine, parse_objective, parse_routing, parse_table_prep, ConstraintMode,
+    ExploreRequest, LruLibraryCache, SimProbe,
 };
 use crate::schema::BATCH_SCHEMA;
-use sunmap_mapping::{Objective, RoutingFunction, SwapStrategy, TablePrep};
+use sunmap_mapping::{Objective, RoutingFunction, TablePrep};
 use sunmap_sim::sweep::json_string;
 use sunmap_sim::SimEngine;
 use sunmap_traffic::{AppSource, CoreGraph};
@@ -88,7 +88,7 @@ impl std::fmt::Display for ManifestError {
             ManifestError::UnknownDirective { line, word } => write!(
                 f,
                 "line {line}: unknown directive '{word}' (valid: app, objective, \
-                 routing, capacity, constraints, swap, engine, table-prep, simulate)"
+                 routing, capacity, constraints, engine, table-prep, simulate)"
             ),
             ManifestError::BadValue { line, message } => write!(f, "line {line}: {message}"),
             ManifestError::NoApps => write!(f, "manifest declares no applications"),
@@ -136,10 +136,6 @@ pub struct BatchManifest {
     pub capacities: Vec<f64>,
     /// Constraint-regime axis (empty = `[Strict]`).
     pub constraints: Vec<ConstraintMode>,
-    /// Phase-3 swap strategy applied to every job (default `auto`; not
-    /// part of the job id — it never changes a job's winning bytes,
-    /// only how fast the sweep finds them).
-    pub swap: Option<SwapStrategy>,
     /// Simulation engine applied to every job's probe (default `auto`;
     /// not part of the job id — `auto`, `flat` and `event` all run the
     /// event engine and `reference` is bit-identical to it, so it never
@@ -192,7 +188,6 @@ impl BatchManifest {
                 "constraints" => m
                     .constraints
                     .push(ConstraintMode::parse(rest).map_err(bad)?),
-                "swap" => m.swap = Some(parse_swap(rest).map_err(bad)?),
                 "engine" => m.engine = Some(parse_engine(rest).map_err(bad)?),
                 "table-prep" => m.table_prep = Some(parse_table_prep(rest).map_err(bad)?),
                 "simulate" => m.probe = Some(SimProbe::parse(rest).map_err(bad)?),
@@ -227,7 +222,6 @@ impl BatchManifest {
         let routings = non_empty(&self.routings, RoutingFunction::MinPath);
         let capacities = non_empty(&self.capacities, 500.0);
         let constraints = non_empty(&self.constraints, ConstraintMode::Strict);
-        let swap = self.swap.unwrap_or(SwapStrategy::Auto);
         let mut jobs = Vec::new();
         for spec in &apps {
             let bad_app = |message: String| ManifestError::BadApp {
@@ -245,7 +239,6 @@ impl BatchManifest {
                             request.routing = routing;
                             request.capacity = capacity;
                             request.constraints = mode;
-                            request.swap = swap;
                             request.engine = self.engine.unwrap_or(SimEngine::Auto);
                             request.table_prep = self.table_prep.unwrap_or(TablePrep::Auto);
                             request.probe = self.probe.clone();
@@ -530,6 +523,7 @@ mod tests {
     use super::*;
     use crate::request::report_body;
     use crate::Sunmap;
+    use sunmap_mapping::SwapStrategy;
     use sunmap_traffic::patterns::TrafficPattern;
 
     const SMALL_GRID: &str = "\
@@ -588,12 +582,9 @@ capacity 1000
 
     #[test]
     fn manifest_swap_engine_and_probe_reach_every_request() {
-        let m = BatchManifest::parse(
-            "app dsp\napp vopd\nswap delta\nengine event\nsimulate transpose 0.2 3\n",
-        )
-        .unwrap();
+        let m = BatchManifest::parse("app dsp\napp vopd\nengine event\nsimulate transpose 0.2 3\n")
+            .unwrap();
         for job in m.jobs().unwrap() {
-            assert_eq!(job.request.swap, SwapStrategy::DeltaPruned);
             assert_eq!(job.request.engine, SimEngine::EventDriven);
             assert_eq!(
                 job.request.probe,
@@ -604,8 +595,13 @@ capacity 1000
                 })
             );
         }
+        // Batch jobs always run the `auto` swap strategy: a `swap` line
+        // is not a directive.
         let e = BatchManifest::parse("swap sometimes\n").unwrap_err();
-        assert!(e.to_string().contains("auto, exhaustive, delta"), "{e}");
+        assert!(
+            matches!(&e, ManifestError::UnknownDirective { line: 1, word } if word == "swap"),
+            "{e}"
+        );
         let e = BatchManifest::parse("engine warp\n").unwrap_err();
         assert!(
             e.to_string().contains("auto, flat, event, reference"),

@@ -7,8 +7,18 @@
 //! pulling in a serialization dependency. It accepts standard JSON
 //! (RFC 8259) minus some exotica nothing here emits: no `\uXXXX`
 //! surrogate pairs, numbers via Rust's `f64` grammar.
+//!
+//! Its input comes from the network (serve and shard frames) and from
+//! disk (replay logs), so it is hardened against hostile documents:
+//! nesting is capped at [`MAX_DEPTH`] levels, and its running time is
+//! linear in the input length.
 
 use std::collections::BTreeMap;
+
+/// The deepest array/object nesting [`Json::parse`] accepts. Every
+/// document this crate reads nests a few levels; the cap stops a frame
+/// of 50 000 `[` from overflowing the recursive parser's stack.
+const MAX_DEPTH: usize = 64;
 
 /// A parsed JSON value.
 #[derive(Debug, Clone, PartialEq)]
@@ -27,6 +37,7 @@ impl Json {
         let mut p = Parser {
             bytes: text.as_bytes(),
             pos: 0,
+            depth: 0,
         };
         p.skip_ws();
         let value = p.value()?;
@@ -65,6 +76,8 @@ impl Json {
 struct Parser<'a> {
     bytes: &'a [u8],
     pos: usize,
+    /// Arrays and objects open around the cursor.
+    depth: usize,
 }
 
 impl Parser<'_> {
@@ -106,25 +119,52 @@ impl Parser<'_> {
             Some(b't') => self.eat_word("true").map(|()| Json::Bool(true)),
             Some(b'f') => self.eat_word("false").map(|()| Json::Bool(false)),
             Some(b'"') => self.string().map(Json::String),
-            Some(b'[') => self.array(),
-            Some(b'{') => self.object(),
+            Some(b'[') => self.nested(Self::array),
+            Some(b'{') => self.nested(Self::object),
             Some(b'-' | b'0'..=b'9') => self.number(),
             _ => Err(format!("expected a JSON value at byte {}", self.pos)),
         }
+    }
+
+    /// Parses one array or object one level deeper, refusing to go
+    /// past [`MAX_DEPTH`].
+    fn nested(&mut self, parse: fn(&mut Self) -> Result<Json, String>) -> Result<Json, String> {
+        if self.depth == MAX_DEPTH {
+            return Err(format!(
+                "nesting deeper than {MAX_DEPTH} levels at byte {}",
+                self.pos
+            ));
+        }
+        self.depth += 1;
+        let value = parse(self);
+        self.depth -= 1;
+        value
     }
 
     fn string(&mut self) -> Result<String, String> {
         self.eat(b'"')?;
         let mut out = String::new();
         loop {
+            // Copy the run of plain bytes up to the next quote or
+            // backslash as one slice. Both are ASCII, so the run ends on
+            // a character boundary of the (UTF-8) input.
             let start = self.pos;
+            let rest = &self.bytes[start..];
+            self.pos += rest
+                .iter()
+                .position(|&b| b == b'"' || b == b'\\')
+                .unwrap_or(rest.len());
+            let run = std::str::from_utf8(&self.bytes[start..self.pos])
+                .map_err(|_| "invalid UTF-8".to_string())?;
+            out.push_str(run);
+            let escape = self.pos;
             match self.peek() {
                 None => return Err("unterminated string".to_string()),
                 Some(b'"') => {
                     self.pos += 1;
                     return Ok(out);
                 }
-                Some(b'\\') => {
+                Some(_) => {
                     self.pos += 1;
                     match self.peek() {
                         Some(b'"') => out.push('"'),
@@ -136,31 +176,22 @@ impl Parser<'_> {
                         Some(b'b') => out.push('\u{8}'),
                         Some(b'f') => out.push('\u{c}'),
                         Some(b'u') => {
-                            let hex = self
+                            // Exactly four hex digits: `from_str_radix`
+                            // alone would also take a sign (`\u+041`).
+                            let c = self
                                 .bytes
                                 .get(self.pos + 1..self.pos + 5)
-                                .and_then(|h| std::str::from_utf8(h).ok())
-                                .ok_or_else(|| format!("bad \\u escape at byte {start}"))?;
-                            let code = u32::from_str_radix(hex, 16)
-                                .map_err(|_| format!("bad \\u escape at byte {start}"))?;
-                            out.push(
-                                char::from_u32(code)
-                                    .ok_or_else(|| format!("bad \\u escape at byte {start}"))?,
-                            );
+                                .filter(|hex| hex.iter().all(u8::is_ascii_hexdigit))
+                                .and_then(|hex| std::str::from_utf8(hex).ok())
+                                .and_then(|hex| u32::from_str_radix(hex, 16).ok())
+                                .and_then(char::from_u32)
+                                .ok_or_else(|| format!("bad \\u escape at byte {escape}"))?;
+                            out.push(c);
                             self.pos += 4;
                         }
-                        _ => return Err(format!("bad escape at byte {start}")),
+                        _ => return Err(format!("bad escape at byte {escape}")),
                     }
                     self.pos += 1;
-                }
-                Some(_) => {
-                    // Advance one UTF-8 character (input is a &str, so
-                    // boundaries are sound).
-                    let rest = &self.bytes[self.pos..];
-                    let s = std::str::from_utf8(rest).map_err(|_| "invalid UTF-8".to_string())?;
-                    let c = s.chars().next().expect("non-empty by peek");
-                    out.push(c);
-                    self.pos += c.len_utf8();
                 }
             }
         }
@@ -236,6 +267,8 @@ impl Parser<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::collection;
+    use proptest::prelude::*;
 
     #[test]
     fn parses_scalars_and_containers() {
@@ -276,6 +309,72 @@ mod tests {
     fn rejects_malformed_documents() {
         for bad in ["", "{", "[1,", "\"open", "{\"a\" 1}", "nul", "1 2", "{}x"] {
             assert!(Json::parse(bad).is_err(), "{bad:?} should not parse");
+        }
+    }
+
+    #[test]
+    fn nesting_is_capped_with_the_byte_offset() {
+        let deep = "[".repeat(100_000);
+        let e = Json::parse(&deep).unwrap_err();
+        assert!(
+            e.contains("nesting deeper than 64 levels at byte 64"),
+            "{e}"
+        );
+        let at_cap = format!("{}{}", "[".repeat(MAX_DEPTH), "]".repeat(MAX_DEPTH));
+        assert!(Json::parse(&at_cap).is_ok());
+        let past_cap = format!("{{\"a\":{at_cap}}}");
+        assert!(Json::parse(&past_cap).is_err());
+    }
+
+    #[test]
+    fn long_strings_parse_in_linear_time() {
+        let long = "é".repeat(1 << 19);
+        let started = std::time::Instant::now();
+        let parsed = Json::parse(&format!("\"{long}\"")).unwrap();
+        assert!(
+            started.elapsed() < std::time::Duration::from_secs(5),
+            "a 1 MiB string took {:?}",
+            started.elapsed()
+        );
+        assert_eq!(parsed, Json::String(long));
+    }
+
+    #[test]
+    fn unicode_escapes_need_four_hex_digits() {
+        for bad in [
+            "\"\\u+041\"",
+            "\"\\u-041\"",
+            "\"\\u 041\"",
+            "\"\\u04\"",
+            "\"\\u00é\"",
+        ] {
+            assert!(Json::parse(bad).is_err(), "{bad:?} should not parse");
+        }
+        assert_eq!(
+            Json::parse("\"\\u00e9\\u00C9\"").unwrap(),
+            Json::String("éÉ".to_string())
+        );
+    }
+
+    /// Fragments chosen to collide with every parser state boundary:
+    /// string fences and escapes, containers, literals and numbers.
+    const FRAGMENTS: &[&str] = &[
+        "\"", "\\", "\\u", "\\u00", "41", "e9", "+", "-", "1", "0.5", "e", "[", "]", "{", "}", ":",
+        ",", "null", "tru", "true", "false", " ", "\n", "é", "∂", "\\\"", "\\n", "d800",
+    ];
+
+    proptest! {
+        #[test]
+        fn fragment_soup_never_panics(picks in collection::vec(0usize..FRAGMENTS.len(), 0..40)) {
+            let text: String = picks.iter().map(|&i| FRAGMENTS[i]).collect();
+            let _ = Json::parse(&text);
+        }
+
+        #[test]
+        fn emitted_strings_round_trip(codes in collection::vec(0u32..0x0011_0000, 0..200)) {
+            let original: String = codes.iter().filter_map(|&c| char::from_u32(c)).collect();
+            let emitted = sunmap_sim::sweep::json_string(&original);
+            prop_assert_eq!(Json::parse(&emitted), Ok(Json::String(original)));
         }
     }
 }

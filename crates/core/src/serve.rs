@@ -525,6 +525,31 @@ mod tests {
         );
     }
 
+    /// A frame nested past the JSON reader's depth cap is answered with
+    /// an error, and the same connection keeps serving.
+    #[test]
+    fn deep_frame_gets_an_error_and_the_connection_survives() {
+        let (addr_tx, addr_rx) = channel();
+        thread::scope(|scope| {
+            let server = scope.spawn(|| {
+                serve(&ServeConfig::default(), |addr| {
+                    addr_tx.send(addr).expect("report addr")
+                })
+            });
+            let addr = addr_rx.recv().expect("server comes up");
+            let mut stream = TcpStream::connect(addr).expect("connect");
+
+            let deep = roundtrip(&mut stream, &"[".repeat(50_000));
+            assert!(deep.contains("\"ok\":false"), "{deep}");
+            assert!(deep.contains("nesting deeper than"), "{deep}");
+            let pong = roundtrip(&mut stream, "{\"op\":\"ping\"}");
+            assert!(pong.contains("\"op\":\"ping\""), "{pong}");
+
+            roundtrip(&mut stream, "{\"op\":\"shutdown\"}");
+            server.join().expect("no panic").expect("clean shutdown");
+        });
+    }
+
     /// End-to-end in-process: ping, two explores (second is warm),
     /// stats, shutdown — and the log replays byte-identically.
     #[test]

@@ -24,13 +24,18 @@
 //! `tests/fast_path_equivalence.rs` enforces the contract across every
 //! topology builder, routing function and objective.
 //!
-//! # The incremental swap-delta sweep
+//! # One swap sweep, two scorers
+//!
+//! [`EvalEngine::sweep`] runs one phase-3 pass: it walks the candidate
+//! pairs in fixed-size blocks, scores each block (fanned out across
+//! workers) and reduces the scores in pair order. [`SwapStrategy`]
+//! picks the per-pair scorer: a full evaluation of every swap, or the
+//! incremental swap-delta scorer below.
 //!
 //! On large topologies even the cached full evaluation is too much work
 //! per candidate: a pass over an `n`-vertex grid scores `n(n-1)/2`
 //! swaps and each full evaluation re-routes every commodity. The
-//! [`EvalEngine::sweep_search`] path (selected through
-//! [`SwapStrategy`]) keeps persistent per-edge link-load and per-switch
+//! delta scorer keeps persistent per-edge link-load and per-switch
 //! traffic accumulators for the pass's base placement and scores a
 //! candidate swap of vertices `(a, b)` incrementally:
 //!
@@ -57,15 +62,15 @@
 //! Pruning is *sound*, never heuristic: a swap is only abandoned when a
 //! margin-guarded lower bound proves it ranks strictly worse than an
 //! already-evaluated candidate, and every surviving candidate is scored
-//! by the same full evaluation the exhaustive sweep uses. Each pass's
+//! by the same full evaluation the exhaustive scorer uses. Each pass's
 //! chosen winner is then re-materialised through the reference
-//! [`crate::evaluate`] (and `debug_assert`-checked against it) exactly
-//! as in the exhaustive path, so pass winners, final placements and
-//! reports are **bit-identical** to [`SwapStrategy::Exhaustive`] — only
-//! the number of evaluations differs. The sweep is partitioned into
-//! fixed-size blocks whose incumbent is frozen at the block boundary,
-//! which keeps the pruning decisions (and therefore the evaluation
-//! counts) deterministic at any worker count.
+//! [`crate::evaluate`] (and `debug_assert`-checked against it) whichever
+//! scorer ran, so pass winners, final placements and reports are
+//! **bit-identical** to [`SwapStrategy::Exhaustive`] — only the number
+//! of evaluations differs. The incumbent the delta scorer prunes
+//! against is frozen at each block boundary, which keeps the pruning
+//! decisions (and therefore the evaluation counts) deterministic at any
+//! worker count.
 
 use crate::routing::{assign_chunks, DETOUR_SLACK, HOP_COST, MAX_SPLIT_PATHS, SPLIT_CHUNKS};
 use crate::{
@@ -118,7 +123,9 @@ fn clearly_above(bound: f64, target: f64) -> bool {
 /// never drift apart.
 const BANDWIDTH_TOLERANCE: f64 = 1.0 + 1e-9;
 
-/// How the mapper's phase-3 sweep scores candidate swaps.
+/// How the mapper's phase-3 sweep scores candidate swaps. There is one
+/// sweep ([`EvalEngine::sweep`]); the strategy only picks its per-pair
+/// scorer.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum SwapStrategy {
     /// [`SwapStrategy::Exhaustive`] up to
@@ -640,24 +647,7 @@ impl RouteTable {
             return;
         }
         self.sim_cap = cap;
-        if self.prep != TablePrep::Eager {
-            self.sim_paths = PairStore::Lazy(LazyPairs::new());
-            return;
-        }
-        let m = self.mappable.len();
-        let mut cache = vec![Vec::new(); m * m];
-        for &a in &self.mappable {
-            for &b in &self.mappable {
-                if a == b {
-                    continue;
-                }
-                cache[self.pair(a, b)] = paths::all_shortest_paths(g, a, b, None, cap)
-                    .into_iter()
-                    .map(|nodes| CachedPath::build(g, &self.adj, &nodes))
-                    .collect();
-            }
-        }
-        self.sim_paths = PairStore::Eager(cache);
+        self.sim_paths = self.pair_store(|a, b| self.compute_sim(a, b, cap));
     }
 
     /// The simulator-replay route set between two mappable vertices
@@ -709,12 +699,46 @@ impl RouteTable {
     /// Panics if the table was built for a different graph.
     pub fn prepare(&mut self, g: &TopologyGraph, routing: RoutingFunction) {
         assert!(self.matches(g), "route table built for a different graph");
-        match routing {
-            RoutingFunction::DimensionOrdered => self.prepare_dimension_ordered(),
-            RoutingFunction::MinPath => self.prepare_quadrants(),
-            RoutingFunction::SplitMinPaths => self.prepare_split_min(),
-            RoutingFunction::SplitAllPaths => self.prepare_split_all(),
+        if self.prepared(routing) {
+            return;
         }
+        // Split-min paths are enumerated inside each pair's quadrant.
+        if matches!(
+            routing,
+            RoutingFunction::MinPath | RoutingFunction::SplitMinPaths
+        ) && !self.quadrants.ready()
+        {
+            self.quadrants = self.pair_store(|a, b| self.compute_quadrant(a, b));
+        }
+        match routing {
+            RoutingFunction::MinPath => {}
+            RoutingFunction::DimensionOrdered => {
+                self.do_paths = self.pair_store(|a, b| self.compute_do(a, b));
+            }
+            RoutingFunction::SplitMinPaths => {
+                self.sm_paths = self.pair_store(|a, b| self.compute_split_min(a, b));
+            }
+            RoutingFunction::SplitAllPaths => {
+                self.sa_paths = self.pair_store(|a, b| self.compute_split_all(a, b));
+            }
+        }
+    }
+
+    /// One per-pair store: `compute` run over every ordered pair of
+    /// mappable vertices up front under [`TablePrep::Eager`] (the
+    /// diagonal holds its empty value for `a == b`), otherwise an empty
+    /// memo the pair accessors fill on first use with the same
+    /// computation.
+    fn pair_store<T>(&self, compute: impl Fn(NodeId, NodeId) -> T) -> PairStore<T> {
+        if self.prep != TablePrep::Eager {
+            return PairStore::Lazy(LazyPairs::new());
+        }
+        let (nodes, m) = (&self.mappable, self.mappable.len());
+        PairStore::Eager(
+            (0..m * m)
+                .map(|pair| compute(nodes[pair / m], nodes[pair % m]))
+                .collect(),
+        )
     }
 
     fn pair(&self, a: NodeId, b: NodeId) -> usize {
@@ -750,9 +774,9 @@ impl RouteTable {
         }
     }
 
-    /// One pair's quadrant set — exactly the eager loop's per-pair
-    /// computation (the lazy stores call these so every strategy runs
-    /// identical per-pair code).
+    /// One pair's quadrant set — the per-pair computation both the
+    /// eager fill and the lazy accessors run, so every strategy runs
+    /// identical per-pair code.
     fn compute_quadrant(&self, a: NodeId, b: NodeId) -> Vec<NodeId> {
         if a == b {
             return Vec::new();
@@ -818,91 +842,6 @@ impl RouteTable {
             .into_iter()
             .map(|nodes| CachedPath::build(&self.graph, &self.adj, &nodes))
             .collect()
-    }
-
-    fn prepare_quadrants(&mut self) {
-        if self.quadrants.ready() {
-            return;
-        }
-        if self.prep != TablePrep::Eager {
-            self.quadrants = PairStore::Lazy(LazyPairs::new());
-            return;
-        }
-        let m = self.mappable.len();
-        let mut quads = vec![Vec::new(); m * m];
-        for &a in &self.mappable {
-            for &b in &self.mappable {
-                if a == b {
-                    continue;
-                }
-                quads[self.pair(a, b)] = self.compute_quadrant(a, b);
-            }
-        }
-        self.quadrants = PairStore::Eager(quads);
-    }
-
-    fn prepare_dimension_ordered(&mut self) {
-        if self.do_paths.ready() {
-            return;
-        }
-        if self.prep != TablePrep::Eager {
-            self.do_paths = PairStore::Lazy(LazyPairs::new());
-            return;
-        }
-        let m = self.mappable.len();
-        let mut cache = vec![None; m * m];
-        for &a in &self.mappable {
-            for &b in &self.mappable {
-                if a == b {
-                    continue;
-                }
-                cache[self.pair(a, b)] = self.compute_do(a, b);
-            }
-        }
-        self.do_paths = PairStore::Eager(cache);
-    }
-
-    fn prepare_split_min(&mut self) {
-        if self.sm_paths.ready() {
-            return;
-        }
-        self.prepare_quadrants();
-        if self.prep != TablePrep::Eager {
-            self.sm_paths = PairStore::Lazy(LazyPairs::new());
-            return;
-        }
-        let m = self.mappable.len();
-        let mut cache = vec![Vec::new(); m * m];
-        for &a in &self.mappable {
-            for &b in &self.mappable {
-                if a == b {
-                    continue;
-                }
-                cache[self.pair(a, b)] = self.compute_split_min(a, b);
-            }
-        }
-        self.sm_paths = PairStore::Eager(cache);
-    }
-
-    fn prepare_split_all(&mut self) {
-        if self.sa_paths.ready() {
-            return;
-        }
-        if self.prep != TablePrep::Eager {
-            self.sa_paths = PairStore::Lazy(LazyPairs::new());
-            return;
-        }
-        let m = self.mappable.len();
-        let mut cache = vec![Vec::new(); m * m];
-        for &a in &self.mappable {
-            for &b in &self.mappable {
-                if a == b {
-                    continue;
-                }
-                cache[self.pair(a, b)] = self.compute_split_all(a, b);
-            }
-        }
-        self.sa_paths = PairStore::Eager(cache);
     }
 }
 
@@ -1500,9 +1439,11 @@ impl<'a> EvalEngine<'a> {
         })
     }
 
-    /// Scores one candidate swap against the pass incumbent: pre-bound,
-    /// then (for dimension-ordered routing) the exact incremental
-    /// delta, then — only for survivors — the bounded full evaluation.
+    /// The delta scorer: scores one candidate swap against the pass
+    /// incumbent — pre-bound, then (for dimension-ordered routing) the
+    /// exact incremental delta, then, only for survivors, the bounded
+    /// full evaluation. `None` when the swap is skipped, pruned or
+    /// errors.
     fn score_swap(
         &self,
         local: &mut Placement,
@@ -1510,7 +1451,7 @@ impl<'a> EvalEngine<'a> {
         b: NodeId,
         ctx: &PassCtx<'_>,
         scratch: &mut EvalScratch,
-    ) -> SwapOutcome {
+    ) -> Option<CostReport> {
         let PassCtx {
             base,
             inc,
@@ -1519,7 +1460,7 @@ impl<'a> EvalEngine<'a> {
         let u = local.core_at(a);
         let v = local.core_at(b);
         if u.is_none() && v.is_none() {
-            return SwapOutcome::NotEvaluated;
+            return None;
         }
         // The commodities the swap re-routes: everything incident to
         // either occupant (a commodity between them appears in both
@@ -1572,7 +1513,7 @@ impl<'a> EvalEngine<'a> {
                 let Some(nm) = self.pair_min_switches(ns, nd) else {
                     // Unreachable new pair: the evaluation would error,
                     // and the search skips errored candidates.
-                    return SwapOutcome::NotEvaluated;
+                    return None;
                 };
                 d_mass += match objective {
                     Objective::MinDelay => c.bandwidth * (nm - om),
@@ -1584,7 +1525,7 @@ impl<'a> EvalEngine<'a> {
                 _ => base.rate_mass + d_mass,
             };
             if clearly_above(lower, inc.cost) {
-                return SwapOutcome::NotEvaluated;
+                return None;
             }
         }
 
@@ -1593,7 +1534,7 @@ impl<'a> EvalEngine<'a> {
         // re-routed ones) scores the swap without a full evaluation.
         if self.routing == RoutingFunction::DimensionOrdered {
             match self.dimension_ordered_delta(local, &swapped, ctx, scratch) {
-                DeltaVerdict::WouldError | DeltaVerdict::Prune => return SwapOutcome::NotEvaluated,
+                DeltaVerdict::WouldError | DeltaVerdict::Prune => return None,
                 DeltaVerdict::Evaluate => {}
             }
         }
@@ -1604,10 +1545,7 @@ impl<'a> EvalEngine<'a> {
         debug_assert!(swapped_ok, "occupancy was checked above");
         let report = self.evaluate_bounded(local, scratch, &inc, objective);
         local.swap_nodes(a, b);
-        match report {
-            Some(r) => SwapOutcome::Report(r),
-            None => SwapOutcome::NotEvaluated,
-        }
+        report
     }
 
     /// The exact swap delta for dimension-ordered routing: every pair's
@@ -2023,28 +1961,38 @@ impl<'a> EvalEngine<'a> {
         track.link_power += flow * self.link_rate_mm * scratch.edge_len[edge];
     }
 
-    /// The delta-pruned phase-3 pass: scores every `(a, b)` swap of
-    /// `base_placement` against `pairs` and returns the pass winner
-    /// (the swap the exhaustive scan would select, with a bit-identical
-    /// report) plus the number of candidates that were fully evaluated.
-    /// `on_report` observes each fully evaluated candidate's report in
-    /// pair order.
+    /// One phase-3 pass: scores every `(a, b)` swap of `base_placement`
+    /// in `pairs` and returns the pass winner (its index into `pairs`
+    /// and its report: the best candidate that beats `base_report`, the
+    /// earliest on ties) plus the number of candidates that were fully
+    /// evaluated. `on_report` observes each fully evaluated candidate's
+    /// report in pair order.
     ///
-    /// The sweep runs in fixed-size blocks: each block's candidates are
-    /// scored (in parallel, positionally reduced) against the incumbent
-    /// frozen at the block boundary, then the incumbent advances. A
+    /// `strategy`, resolved against the table's mappable-vertex count,
+    /// picks the per-pair scorer: a full evaluation of every swap
+    /// ([`SwapStrategy::Exhaustive`]), or the delta scorer
+    /// ([`SwapStrategy::DeltaPruned`]), which fully evaluates only the
+    /// candidates its bounds cannot rule out and finds the same winner
+    /// with a bit-identical report.
+    ///
+    /// The pairs run in fixed-size blocks. Each block is scored across
+    /// scoped worker threads, each with its own scratch and placement
+    /// copy, and reduced in pair order. The delta scorer
+    /// prunes against the incumbent frozen at the block boundary; a
     /// frozen incumbent only prunes *less* than a live one, so the
-    /// winner is unaffected — and the evaluation count becomes a pure
-    /// function of the inputs, independent of the worker count.
-    pub fn sweep_search(
+    /// winner is unaffected, and the evaluation count and `on_report`
+    /// sequence are pure functions of the inputs at any worker count.
+    pub fn sweep(
         &self,
+        strategy: SwapStrategy,
         base_placement: &Placement,
         base_report: &CostReport,
         pairs: &[(NodeId, NodeId)],
         objective: Objective,
         on_report: impl FnMut(&CostReport),
     ) -> (Option<(usize, CostReport)>, usize) {
-        self.sweep_search_with_workers(
+        self.sweep_with_workers(
+            strategy,
             base_placement,
             base_report,
             pairs,
@@ -2054,12 +2002,12 @@ impl<'a> EvalEngine<'a> {
         )
     }
 
-    /// [`EvalEngine::sweep_search`] with an explicit worker count — how
-    /// tests exercise the chunked multi-worker path on single-CPU
-    /// machines and assert the winner, report and evaluation count are
-    /// worker-count invariant.
-    pub fn sweep_search_with_workers(
+    /// [`EvalEngine::sweep`] with an explicit worker count — how tests
+    /// exercise the multi-worker path on single-CPU machines.
+    #[allow(clippy::too_many_arguments)]
+    fn sweep_with_workers(
         &self,
+        strategy: SwapStrategy,
         base_placement: &Placement,
         base_report: &CostReport,
         pairs: &[(NodeId, NodeId)],
@@ -2069,54 +2017,59 @@ impl<'a> EvalEngine<'a> {
     ) -> (Option<(usize, CostReport)>, usize) {
         const BLOCK: usize = 512;
         let mut scratch = self.new_scratch();
-        let Some(base) = self.sweep_base(base_placement, objective, &mut scratch) else {
-            return (None, 0);
+        // Only the delta scorer works against base accumulators, and an
+        // unroutable base placement leaves it nothing to work against.
+        let base = match strategy.resolve(self.table.mappable.len()) {
+            SwapStrategy::DeltaPruned => {
+                let Some(base) = self.sweep_base(base_placement, objective, &mut scratch) else {
+                    return (None, 0);
+                };
+                Some(base)
+            }
+            _ => None,
         };
-        let base = &base;
         let mut local = base_placement.clone();
         let mut best: Option<(usize, CostReport)> = None;
         let mut evaluated = 0usize;
         for (block_idx, block) in pairs.chunks(BLOCK).enumerate() {
-            let ctx = PassCtx {
+            let ctx = base.as_ref().map(|base| PassCtx {
                 base,
                 inc: Incumbent::of(best.as_ref().map_or(base_report, |(_, r)| r), objective),
                 objective,
-            };
-            let ctx = &ctx;
-            let outcomes: Vec<SwapOutcome> = if workers <= 1 || block.len() < 2 * workers {
-                block
+            });
+            let ctx = ctx.as_ref();
+            let score = move |pairs: &[(NodeId, NodeId)],
+                              local: &mut Placement,
+                              scratch: &mut EvalScratch| {
+                pairs
                     .iter()
-                    .map(|&(a, b)| self.score_swap(&mut local, a, b, ctx, &mut scratch))
-                    .collect()
+                    .map(|&(a, b)| match ctx {
+                        Some(ctx) => self.score_swap(local, a, b, ctx, scratch),
+                        None => self.swap_report(local, a, b, scratch),
+                    })
+                    .collect::<Vec<_>>()
+            };
+            let reports = if workers <= 1 || block.len() < 2 * workers {
+                score(block, &mut local, &mut scratch)
             } else {
                 let chunk = block.len().div_ceil(workers);
-                let mut out = Vec::with_capacity(block.len());
                 std::thread::scope(|s| {
                     let handles: Vec<_> = block
                         .chunks(chunk)
-                        .map(|chunk_pairs| {
+                        .map(|chunk| {
                             s.spawn(move || {
-                                let mut scratch = self.new_scratch();
-                                let mut local = base_placement.clone();
-                                chunk_pairs
-                                    .iter()
-                                    .map(|&(a, b)| {
-                                        self.score_swap(&mut local, a, b, ctx, &mut scratch)
-                                    })
-                                    .collect::<Vec<_>>()
+                                score(chunk, &mut base_placement.clone(), &mut self.new_scratch())
                             })
                         })
                         .collect();
-                    for h in handles {
-                        out.extend(h.join().expect("swap-sweep worker panicked"));
-                    }
-                });
-                out
+                    handles
+                        .into_iter()
+                        .flat_map(|h| h.join().expect("swap-sweep worker panicked"))
+                        .collect()
+                })
             };
-            for (offset, outcome) in outcomes.into_iter().enumerate() {
-                let SwapOutcome::Report(report) = outcome else {
-                    continue;
-                };
+            for (offset, report) in reports.into_iter().enumerate() {
+                let Some(report) = report else { continue };
                 evaluated += 1;
                 on_report(&report);
                 let improves_on = best.as_ref().map_or(base_report, |(_, r)| r);
@@ -2128,65 +2081,9 @@ impl<'a> EvalEngine<'a> {
         (best, evaluated)
     }
 
-    /// Evaluates every `(a, b)` swap of `base` and returns one report
-    /// slot per pair, in pair order. `None` marks pairs the search
-    /// skips: both vertices empty, or an evaluation error.
-    ///
-    /// Large sweeps are partitioned across `std::thread::scope` workers,
-    /// each with its own scratch and placement copy; because the output
-    /// is positional, the reduction the mapper runs over it is
-    /// bit-identical to a sequential scan regardless of worker count.
-    pub fn sweep_reports(
-        &self,
-        base: &Placement,
-        pairs: &[(NodeId, NodeId)],
-    ) -> Vec<Option<CostReport>> {
-        self.sweep_reports_with_workers(base, pairs, worker_count(pairs.len()))
-    }
-
-    /// [`EvalEngine::sweep_reports`] with an explicit worker count —
-    /// this is how tests exercise the chunked multi-worker path on
-    /// single-CPU machines and assert it agrees with the sequential
-    /// scan.
-    pub fn sweep_reports_with_workers(
-        &self,
-        base: &Placement,
-        pairs: &[(NodeId, NodeId)],
-        workers: usize,
-    ) -> Vec<Option<CostReport>> {
-        if workers <= 1 || pairs.is_empty() {
-            let mut scratch = self.new_scratch();
-            let mut local = base.clone();
-            return pairs
-                .iter()
-                .map(|&(a, b)| self.swap_report(&mut local, a, b, &mut scratch))
-                .collect();
-        }
-        let chunk = pairs.len().div_ceil(workers);
-        let mut out = Vec::with_capacity(pairs.len());
-        std::thread::scope(|s| {
-            let handles: Vec<_> = pairs
-                .chunks(chunk)
-                .map(|chunk_pairs| {
-                    s.spawn(move || {
-                        let mut scratch = self.new_scratch();
-                        let mut local = base.clone();
-                        chunk_pairs
-                            .iter()
-                            .map(|&(a, b)| self.swap_report(&mut local, a, b, &mut scratch))
-                            .collect::<Vec<_>>()
-                    })
-                })
-                .collect();
-            for h in handles {
-                out.extend(h.join().expect("swap-sweep worker panicked"));
-            }
-        });
-        out
-    }
-
-    /// Applies the swap, evaluates, and restores `local` (swapping the
-    /// same pair twice is the identity).
+    /// The exhaustive scorer: applies the swap, evaluates, and restores
+    /// `local` (swapping the same pair twice is the identity). `None`
+    /// when both vertices are empty or the evaluation errors.
     fn swap_report(
         &self,
         local: &mut Placement,
@@ -2316,15 +2213,6 @@ enum DeltaVerdict {
     Evaluate,
 }
 
-/// One scored swap of the delta sweep.
-enum SwapOutcome {
-    /// Skipped, pruned or errored — not a candidate for the pass win.
-    NotEvaluated,
-    /// Fully evaluated (bit-identical to the exhaustive sweep's report
-    /// for this swap).
-    Report(CostReport),
-}
-
 /// How many sweep workers to spawn for `pairs` candidate swaps: one per
 /// core, but never so many that a worker gets a trivial share (thread
 /// spawn would dominate), and always 1 for tiny sweeps.
@@ -2376,42 +2264,21 @@ mod tests {
     }
 
     #[test]
-    fn multi_worker_sweep_equals_sequential_sweep() {
-        // The CI container is single-CPU, so the chunked thread::scope
-        // path never runs through worker_count(); force it here and
-        // assert positional agreement with the sequential scan for
-        // every worker count that produces a different chunking.
-        let g = builders::mesh(3, 4, 500.0).unwrap();
-        let app = benchmarks::vopd();
-        let routing = RoutingFunction::SplitMinPaths;
-        let (table, mut lib, constraints) = engine_fixture(&g, routing);
-        let engine = EvalEngine::new(&g, &app, &table, routing, &mut lib, &constraints);
-        let base = Mapper::new(&g, &app, MapperConfig::default()).greedy_placement();
-        let nodes = g.mappable_nodes();
-        let mut pairs = Vec::new();
-        for i in 0..nodes.len() {
-            for j in i + 1..nodes.len() {
-                pairs.push((nodes[i], nodes[j]));
-            }
-        }
-        let sequential = engine.sweep_reports_with_workers(&base, &pairs, 1);
-        assert_eq!(sequential.len(), pairs.len());
-        for workers in [2, 3, 4, 7] {
-            let parallel = engine.sweep_reports_with_workers(&base, &pairs, workers);
-            assert_eq!(sequential, parallel, "{workers} workers diverged");
-        }
-    }
-
-    #[test]
     fn delta_sweep_is_worker_count_invariant() {
         // Single-CPU CI never reaches the chunked thread::scope branch
-        // of sweep_search through worker_count(); force it and assert
-        // the winner, its report AND the evaluation count (the pruning
-        // decisions) agree with the sequential scan — the block-frozen
-        // incumbent makes all three pure functions of the inputs.
+        // of the sweep through worker_count(); force it and assert the
+        // winner, its report, the evaluation count (the pruning
+        // decisions) AND the observed report sequence agree with the
+        // sequential scan under both scorers — the block-frozen
+        // incumbent makes all four pure functions of the inputs.
         let g = builders::mesh(3, 4, 500.0).unwrap();
         let app = benchmarks::vopd();
-        for routing in [RoutingFunction::MinPath, RoutingFunction::DimensionOrdered] {
+        let inputs = [
+            (SwapStrategy::DeltaPruned, RoutingFunction::MinPath),
+            (SwapStrategy::DeltaPruned, RoutingFunction::DimensionOrdered),
+            (SwapStrategy::Exhaustive, RoutingFunction::SplitMinPaths),
+        ];
+        for (strategy, routing) in inputs {
             for objective in [Objective::MinDelay, Objective::MinPower] {
                 let (table, mut lib, constraints) = engine_fixture(&g, routing);
                 let engine = EvalEngine::new(&g, &app, &table, routing, &mut lib, &constraints);
@@ -2425,33 +2292,27 @@ mod tests {
                 let base_report = engine
                     .evaluate_report(&base_placement, &mut scratch)
                     .unwrap();
-                let nodes = g.mappable_nodes();
-                let mut pairs = Vec::new();
-                for i in 0..nodes.len() {
-                    for j in i + 1..nodes.len() {
-                        pairs.push((nodes[i], nodes[j]));
-                    }
-                }
-                let sequential = engine.sweep_search_with_workers(
-                    &base_placement,
-                    &base_report,
-                    &pairs,
-                    objective,
-                    1,
-                    |_| {},
-                );
-                for workers in [2, 3, 5] {
-                    let parallel = engine.sweep_search_with_workers(
+                let pairs = all_pairs(&g);
+                let run = |workers| {
+                    let mut seen = Vec::new();
+                    let (best, evaluated) = engine.sweep_with_workers(
+                        strategy,
                         &base_placement,
                         &base_report,
                         &pairs,
                         objective,
                         workers,
-                        |_| {},
+                        |r| seen.push(r.clone()),
                     );
+                    (best, evaluated, seen)
+                };
+                let sequential = run(1);
+                assert_eq!(sequential.1, sequential.2.len());
+                for workers in [2, 3, 5, 7] {
                     assert_eq!(
-                        sequential, parallel,
-                        "{routing} {objective}: {workers} workers diverged"
+                        sequential,
+                        run(workers),
+                        "{strategy:?} {routing} {objective}: {workers} workers diverged"
                     );
                 }
             }
@@ -2498,8 +2359,9 @@ mod tests {
     #[test]
     fn sweep_handles_empty_vertices_and_errors_like_the_search() {
         // A 4x4 mesh with only 12 cores leaves empty vertices: pairs of
-        // two empty slots must come back None (skipped), matching the
-        // sequential search's swap_nodes() == false skip.
+        // two empty slots are skipped (the search's swap_nodes() ==
+        // false), and every other pair is fully evaluated by the
+        // exhaustive scorer.
         let g = builders::mesh(4, 4, 500.0).unwrap();
         let app = benchmarks::vopd();
         let routing = RoutingFunction::MinPath;
@@ -2507,11 +2369,33 @@ mod tests {
         let engine = EvalEngine::new(&g, &app, &table, routing, &mut lib, &constraints);
         let base = Mapper::new(&g, &app, MapperConfig::new(routing, Objective::MinDelay))
             .greedy_placement();
-        let occupied: Vec<bool> = g
-            .mappable_nodes()
+        let base_report = engine
+            .evaluate_report(&base, &mut engine.new_scratch())
+            .unwrap();
+        let pairs = all_pairs(&g);
+        let occupied_pairs = pairs
             .iter()
-            .map(|n| base.core_at(*n).is_some())
-            .collect();
+            .filter(|&&(a, b)| base.core_at(a).is_some() || base.core_at(b).is_some())
+            .count();
+        assert!(
+            occupied_pairs < pairs.len(),
+            "fixture has empty-empty pairs"
+        );
+        let mut observed = 0usize;
+        let (_, evaluated) = engine.sweep(
+            SwapStrategy::Exhaustive,
+            &base,
+            &base_report,
+            &pairs,
+            Objective::MinDelay,
+            |_| observed += 1,
+        );
+        assert_eq!(evaluated, occupied_pairs);
+        assert_eq!(observed, occupied_pairs);
+    }
+
+    /// Every unordered pair of mappable vertices, in the mapper's order.
+    fn all_pairs(g: &TopologyGraph) -> Vec<(NodeId, NodeId)> {
         let nodes = g.mappable_nodes();
         let mut pairs = Vec::new();
         for i in 0..nodes.len() {
@@ -2519,15 +2403,6 @@ mod tests {
                 pairs.push((nodes[i], nodes[j]));
             }
         }
-        let reports = engine.sweep_reports(&base, &pairs);
-        for (k, &(a, b)) in pairs.iter().enumerate() {
-            let ia = nodes.iter().position(|n| *n == a).unwrap();
-            let ib = nodes.iter().position(|n| *n == b).unwrap();
-            if !occupied[ia] && !occupied[ib] {
-                assert!(reports[k].is_none(), "empty-empty pair {k} evaluated");
-            } else {
-                assert!(reports[k].is_some(), "occupied pair {k} skipped");
-            }
-        }
+        pairs
     }
 }

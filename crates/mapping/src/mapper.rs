@@ -184,10 +184,12 @@ impl<'a> Mapper<'a> {
     /// (the greedy seed and each pair-wise swap). This is how the
     /// Fig. 9b Pareto study collects its cloud of design points.
     ///
-    /// Under [`SwapStrategy::DeltaPruned`] (or [`SwapStrategy::Auto`]
-    /// on a large topology), candidates the incremental bounds prove
-    /// unable to win are never evaluated — the observer sees exactly
-    /// the candidates that were, still in pair order.
+    /// Every pass is one [`EvalEngine::sweep`]; the swap strategy only
+    /// picks its per-pair scorer. Under [`SwapStrategy::DeltaPruned`]
+    /// (or [`SwapStrategy::Auto`] on a large topology), candidates the
+    /// incremental bounds prove unable to win are never evaluated — the
+    /// observer sees exactly the candidates that were, still in pair
+    /// order.
     pub fn run_observed(
         &mut self,
         mut observer: impl FnMut(&CostReport),
@@ -230,9 +232,9 @@ impl<'a> Mapper<'a> {
         evaluated += 1;
 
         // Phase 3 (steps 9-10): pair-wise swaps, steepest-descent
-        // passes. Candidates are scored through the cached fast path
-        // (parallel sweep, reports reduced in pair order — bit-identical
-        // to a sequential reference scan); only each pass's winner is
+        // passes. Each pass is one sweep through the cached fast path
+        // (parallel, reduced in pair order — bit-identical to a
+        // sequential reference scan); only each pass's winner is
         // re-materialised into a full Evaluation.
         let engine = EvalEngine::new(
             graph,
@@ -243,7 +245,6 @@ impl<'a> Mapper<'a> {
             &config.constraints,
         );
         let nodes = graph.mappable_nodes();
-        let strategy = config.swap_strategy.resolve(nodes.len());
         let mut pairs = Vec::with_capacity(nodes.len() * nodes.len().saturating_sub(1) / 2);
         for i in 0..nodes.len() {
             for j in i + 1..nodes.len() {
@@ -251,52 +252,30 @@ impl<'a> Mapper<'a> {
             }
         }
         for _pass in 0..config.max_swap_passes {
-            let best_swap: Option<(usize, CostReport)> = match strategy {
-                SwapStrategy::DeltaPruned => {
-                    let (best_swap, pass_evaluated) = engine.sweep_search(
-                        &best.placement,
-                        &best.report,
-                        &pairs,
-                        config.objective,
-                        |r| observer(r),
-                    );
-                    evaluated += pass_evaluated;
-                    best_swap
-                }
-                _ => {
-                    let reports = engine.sweep_reports(&best.placement, &pairs);
-                    let mut best_swap: Option<(usize, CostReport)> = None;
-                    for (k, report) in reports.into_iter().enumerate() {
-                        let Some(report) = report else { continue };
-                        observer(&report);
-                        evaluated += 1;
-                        let improves_on = best_swap.as_ref().map_or(&best.report, |(_, r)| r);
-                        if report.better_than(improves_on, config.objective) {
-                            best_swap = Some((k, report));
-                        }
-                    }
-                    best_swap
-                }
-            };
-            match best_swap {
-                Some((k, report)) => {
-                    let (a, b) = pairs[k];
-                    let mut placement = best.placement.clone();
-                    placement.swap_nodes(a, b);
-                    let eval = evaluate(
-                        graph,
-                        app,
-                        placement,
-                        config.routing,
-                        &mut self.lib,
-                        &config.constraints,
-                    )
-                    .expect("fast path evaluated this placement");
-                    debug_assert_eq!(eval.report, report, "fast path diverged from reference");
-                    best = eval;
-                }
-                None => break,
-            }
+            let (best_swap, pass_evaluated) = engine.sweep(
+                config.swap_strategy,
+                &best.placement,
+                &best.report,
+                &pairs,
+                config.objective,
+                &mut observer,
+            );
+            evaluated += pass_evaluated;
+            let Some((k, report)) = best_swap else { break };
+            let (a, b) = pairs[k];
+            let mut placement = best.placement.clone();
+            placement.swap_nodes(a, b);
+            let eval = evaluate(
+                graph,
+                app,
+                placement,
+                config.routing,
+                &mut self.lib,
+                &config.constraints,
+            )
+            .expect("fast path evaluated this placement");
+            debug_assert_eq!(eval.report, report, "fast path diverged from reference");
+            best = eval;
         }
 
         if best.report.feasible() {
