@@ -10,7 +10,7 @@ CARGO ?= cargo
 BENCH_SMOKE_JSONL := target/bench-smoke.jsonl
 BENCH_RESULTS := target/BENCH_results.json
 
-.PHONY: all build test bench bench-run bench-smoke bench-record batch-smoke serve-smoke shard-smoke scale-smoke sim-equiv table-equiv perfbench-test doc lint fmt ci clean
+.PHONY: all build test bench bench-run bench-smoke bench-record bench-check batch-smoke serve-smoke shard-smoke scale-smoke sim-equiv table-equiv perfbench-test doc lint fmt ci clean
 
 all: build
 
@@ -61,6 +61,14 @@ bench-record:
 		       "--out", shlex.quote("$(BENCH_OUT)")) \
 		 for _ in range($(BENCH_RUNS)) for w in b["workloads"]]' | sh -ex
 	python3 perfbench/compare.py $(BENCH_OUT)
+
+## Check the benchmark's pinned outputs: every workload BENCHMARK.json
+## declares runs once, with that file's command, for one second
+## (results in target/bench-check), and the check fails unless each
+## run's last output line reports "correct":true. The benchmark itself
+## exits 0 when an output digest misses perfbench/pins.txt.
+bench-check:
+	python3 scripts/bench_check.py target/bench-check
 
 ## Smoke-run the batch exploration engine end-to-end: the committed
 ## 20-job sample manifest (4 seed benchmarks + 16 synthetic workloads)
@@ -146,7 +154,7 @@ fmt:
 	$(CARGO) fmt --all
 
 ## Everything CI gates on, in CI's order.
-ci: lint build test perfbench-test doc bench bench-smoke batch-smoke serve-smoke shard-smoke scale-smoke
+ci: lint build test perfbench-test bench-check doc bench bench-smoke batch-smoke serve-smoke shard-smoke scale-smoke
 
 clean:
 	$(CARGO) clean

@@ -54,10 +54,15 @@
 //!    other `|E_app|` commodities;
 //! 3. **load-dependent routing** (Dijkstra min-load `MP`, min-max
 //!    split `SM`/`SA`) falls back to a full evaluation, but one with an
-//!    **early-exit bound**: the floorplan is solved first, and after
-//!    every routed commodity the partial cost plus an optimistic bound
-//!    for the unrouted suffix is compared against the incumbent — the
-//!    evaluation is abandoned the moment it can no longer win.
+//!    **early-exit bound**: after every routed commodity the partial
+//!    cost plus an optimistic bound for the unrouted suffix is compared
+//!    against the incumbent — the evaluation is abandoned the moment it
+//!    can no longer win. As in the paper's Fig. 5, routing comes before
+//!    the floorplan, so only a candidate that finishes routing pays for
+//!    its layout, floorplan solve and area check. The exception is
+//!    MinPower against a feasible incumbent: its bound prices link
+//!    power by the candidate's link lengths, so it solves the floorplan
+//!    first.
 //!
 //! Pruning is *sound*, never heuristic: a swap is only abandoned when a
 //! margin-guarded lower bound proves it ranks strictly worse than an
@@ -861,8 +866,9 @@ pub struct EvalScratch {
     path: Vec<NodeId>,
     /// Swap-delta working state (delta sweep only): sparse per-edge /
     /// per-node deltas with their touched-index lists, the incident
-    /// commodity indices of the candidate pair, candidate link lengths,
-    /// and the optimistic suffix masses for the early-exit bound.
+    /// commodity indices of the candidate pair, candidate link lengths
+    /// (filled only for the MinPower bound), and the optimistic suffix
+    /// masses for the early-exit bound.
     delta_loads: Vec<f64>,
     touched_edges: Vec<usize>,
     delta_traffic: Vec<f64>,
@@ -1087,11 +1093,21 @@ impl<'a> EvalEngine<'a> {
             totals.add(c.bandwidth, hops);
         }
 
+        let (layout, floorplan) = self.solve_floorplan(placement)?;
+        Ok(self.assemble_report(placement, scratch, &layout, &floorplan, totals))
+    }
+
+    /// Fig. 5 step 7: lays out `placement`'s blocks and solves their
+    /// floorplan, timed by the [`crate::timing`] hook.
+    fn solve_floorplan(
+        &self,
+        placement: &Placement,
+    ) -> Result<(LayoutBlocks, Floorplan), MappingError> {
         let layout = layout_blocks(self.g, self.app, placement, &self.switch_areas);
         let fp_timer = crate::timing::floorplan_start();
         let floorplan = layout.placement.floorplan()?;
         crate::timing::floorplan_finish(fp_timer);
-        Ok(self.assemble_report(placement, scratch, &layout, &floorplan, totals))
+        Ok((layout, floorplan))
     }
 
     /// Fig. 5 steps 7–8 on accumulated loads: power, feasibility and
@@ -1674,11 +1690,17 @@ impl<'a> EvalEngine<'a> {
 
     /// Full candidate evaluation with the early-exit bound: identical
     /// accumulation arithmetic to [`EvalEngine::evaluate_report`] (a
-    /// completed evaluation's report is bit-identical), but the
-    /// floorplan is solved first and after every routed commodity the
-    /// partial cost plus an optimistic suffix is checked against the
-    /// incumbent. `None` means the candidate was abandoned as provably
-    /// unable to win, or errored (the search skips it either way).
+    /// completed evaluation's report is bit-identical), but after every
+    /// routed commodity the partial cost plus an optimistic suffix is
+    /// checked against the incumbent. As in the paper's Fig. 5, it
+    /// routes before it floorplans: only a candidate that finishes
+    /// routing pays for its layout, floorplan solve and area check. The
+    /// one exception is MinPower against a feasible incumbent, whose
+    /// suffix bound prices link power by the candidate's link lengths
+    /// and so needs the floorplan first. `None` means the candidate was
+    /// abandoned as provably unable to win, or errored (the search
+    /// skips it either way); the order changes what an abandoned
+    /// candidate costs, never which candidates return `None`.
     fn evaluate_bounded(
         &self,
         placement: &Placement,
@@ -1686,40 +1708,6 @@ impl<'a> EvalEngine<'a> {
         inc: &Incumbent,
         objective: Objective,
     ) -> Option<CostReport> {
-        let g = self.g;
-        let layout = layout_blocks(g, self.app, placement, &self.switch_areas);
-        let fp_timer = crate::timing::floorplan_start();
-        let floorplan = layout.placement.floorplan().ok()?;
-        crate::timing::floorplan_finish(fp_timer);
-        let chip_aspect = floorplan.chip_aspect();
-        if inc.feasible && !self.area_feasible(chip_aspect) {
-            // Certainly infeasible against a feasible incumbent.
-            return None;
-        }
-
-        // Candidate link lengths (zero for edges the report's power
-        // loop skips) and the shortest powered length, for the
-        // link-power share of the suffix bound.
-        let mut len_min = f64::INFINITY;
-        for (eid, edge) in g.edges() {
-            let mut len = 0.0;
-            if edge.is_network_link() {
-                if let (Some(x), Some(y)) = (
-                    layout.block_of_node(placement, edge.src),
-                    layout.block_of_node(placement, edge.dst),
-                ) {
-                    len = floorplan.link_length(x, y);
-                    if len < len_min {
-                        len_min = len;
-                    }
-                }
-            }
-            scratch.edge_len[eid.index()] = len;
-        }
-        if !len_min.is_finite() {
-            len_min = 0.0;
-        }
-
         // Optimistic suffix masses in routing order: after commodity i,
         // the unrouted remainder contributes at least `min_suffix[i+1]`
         // bandwidth-weighted switch hops, `rate_suffix[i+1]` mW of
@@ -1733,36 +1721,20 @@ impl<'a> EvalEngine<'a> {
             && matches!(objective, Objective::MinDelay | Objective::MinPower)
             && self.total_bw_all > 0.0;
         let power_bound = suffix_bound && objective == Objective::MinPower;
+        // Lays out and floorplans the candidate: `None` on a floorplan
+        // error, or on an area failure that makes it certainly
+        // infeasible against a feasible incumbent.
+        let solve = || {
+            let (layout, floorplan) = self.solve_floorplan(placement).ok()?;
+            let area_fails = inc.feasible && !self.area_feasible(floorplan.chip_aspect());
+            (!area_fails).then_some((layout, floorplan))
+        };
+        let mut solved = None;
+        let mut len_min = 0.0;
         if power_bound {
-            // Per-node minimum powered link lengths under *this*
-            // candidate floorplan: any route's first network link
-            // departs the source's ingress switch and its last enters
-            // the destination's egress switch, so those two links cost
-            // at least `out_min[ingress]` / `in_min[egress]` — a
-            // per-commodity floor strictly tighter than `len_min` per
-            // link. Unpowered (block-less) links keep length 0, which
-            // only loosens the floor; nodes without network links fall
-            // back to `len_min`.
-            scratch.out_min.fill(f64::INFINITY);
-            scratch.in_min.fill(f64::INFINITY);
-            for (eid, edge) in g.edges() {
-                if !edge.is_network_link() {
-                    continue;
-                }
-                let len = scratch.edge_len[eid.index()];
-                let (s, d) = (edge.src.index(), edge.dst.index());
-                if len < scratch.out_min[s] {
-                    scratch.out_min[s] = len;
-                }
-                if len < scratch.in_min[d] {
-                    scratch.in_min[d] = len;
-                }
-            }
-            for slot in scratch.out_min.iter_mut().chain(scratch.in_min.iter_mut()) {
-                if !slot.is_finite() {
-                    *slot = len_min;
-                }
-            }
+            let (layout, floorplan) = solve()?;
+            len_min = self.link_length_floors(placement, &layout, &floorplan, scratch);
+            solved = Some((layout, floorplan));
         }
         if suffix_bound {
             scratch.min_suffix.clear();
@@ -1824,7 +1796,7 @@ impl<'a> EvalEngine<'a> {
         scratch.link_loads.fill(0.0);
         scratch.switch_traffic.fill(0.0);
         let mut totals = RouteTotals::default();
-        let mut track = BoundTracker::default();
+        let mut track = BoundTracker::new(power_bound);
         for i in 0..n {
             let c = self.commodities[i];
             let src = placement.node_of(c.src);
@@ -1854,7 +1826,7 @@ impl<'a> EvalEngine<'a> {
                             (totals.bw_hops + scratch.min_suffix[i + 1]) / self.total_bw_all
                         } else {
                             track.switch_power
-                                + track.link_power
+                                + track.link_power.expect("the power bound tracks link power")
                                 + scratch.rate_suffix[i + 1]
                                 + self.link_rate_mm * scratch.len_suffix[i + 1]
                         };
@@ -1871,7 +1843,70 @@ impl<'a> EvalEngine<'a> {
                 return None;
             }
         }
+        let (layout, floorplan) = solved.or_else(solve)?;
         Some(self.assemble_report(placement, scratch, &layout, &floorplan, totals))
+    }
+
+    /// The candidate link lengths the MinPower suffix bound prices link
+    /// power by: fills `scratch.edge_len` (zero for edges the report's
+    /// power loop skips) and, per node, the minimum outgoing / incoming
+    /// powered network-link length (`scratch.out_min` / `in_min`), and
+    /// returns the shortest powered length (zero if none).
+    fn link_length_floors(
+        &self,
+        placement: &Placement,
+        layout: &LayoutBlocks,
+        floorplan: &Floorplan,
+        scratch: &mut EvalScratch,
+    ) -> f64 {
+        let g = self.g;
+        let mut len_min = f64::INFINITY;
+        for (eid, edge) in g.edges() {
+            let mut len = 0.0;
+            if edge.is_network_link() {
+                if let (Some(x), Some(y)) = (
+                    layout.block_of_node(placement, edge.src),
+                    layout.block_of_node(placement, edge.dst),
+                ) {
+                    len = floorplan.link_length(x, y);
+                    if len < len_min {
+                        len_min = len;
+                    }
+                }
+            }
+            scratch.edge_len[eid.index()] = len;
+        }
+        if !len_min.is_finite() {
+            len_min = 0.0;
+        }
+        // Any route's first network link departs the source's ingress
+        // switch and its last enters the destination's egress switch,
+        // so those two links cost at least `out_min[ingress]` /
+        // `in_min[egress]` — a per-commodity floor strictly tighter
+        // than `len_min` per link. Unpowered (block-less) links keep
+        // length 0, which only loosens the floor; nodes without network
+        // links fall back to `len_min`.
+        scratch.out_min.fill(f64::INFINITY);
+        scratch.in_min.fill(f64::INFINITY);
+        for (eid, edge) in g.edges() {
+            if !edge.is_network_link() {
+                continue;
+            }
+            let len = scratch.edge_len[eid.index()];
+            let (s, d) = (edge.src.index(), edge.dst.index());
+            if len < scratch.out_min[s] {
+                scratch.out_min[s] = len;
+            }
+            if len < scratch.in_min[d] {
+                scratch.in_min[d] = len;
+            }
+        }
+        for slot in scratch.out_min.iter_mut().chain(scratch.in_min.iter_mut()) {
+            if !slot.is_finite() {
+                *slot = len_min;
+            }
+        }
+        len_min
     }
 
     /// Updates the bound tracker with the commodity just routed into
@@ -1949,7 +1984,9 @@ impl<'a> EvalEngine<'a> {
 
     /// Folds one edge the routed commodity crossed into the tracker.
     /// Loads only ever grow during accumulation, so the partial values
-    /// read here are true lower bounds of the final ones.
+    /// read here are true lower bounds of the final ones. Link power is
+    /// added only while the power bound is live: only then does
+    /// `scratch.edge_len` hold this candidate's link lengths.
     fn track_edge(&self, edge: usize, flow: f64, scratch: &EvalScratch, track: &mut BoundTracker) {
         if self.net_edge[edge] {
             let load = scratch.link_loads[edge];
@@ -1958,7 +1995,9 @@ impl<'a> EvalEngine<'a> {
             }
             track.over |= load > self.edge_capacity[edge] * BANDWIDTH_TOLERANCE;
         }
-        track.link_power += flow * self.link_rate_mm * scratch.edge_len[edge];
+        if let Some(link_power) = &mut track.link_power {
+            *link_power += flow * self.link_rate_mm * scratch.edge_len[edge];
+        }
     }
 
     /// One phase-3 pass: scores every `(a, b)` swap of `base_placement`
@@ -2169,16 +2208,19 @@ struct SweepBase {
 #[derive(Debug)]
 struct BoundTracker {
     switch_power: f64,
-    link_power: f64,
+    /// `None` unless the MinPower suffix bound is live, the only bound
+    /// that reads link power (and the only time the candidate's link
+    /// lengths are known before routing).
+    link_power: Option<f64>,
     max_load: f64,
     over: bool,
 }
 
-impl Default for BoundTracker {
-    fn default() -> Self {
+impl BoundTracker {
+    fn new(power_bound: bool) -> Self {
         BoundTracker {
             switch_power: 0.0,
-            link_power: 0.0,
+            link_power: power_bound.then_some(0.0),
             max_load: f64::NEG_INFINITY,
             over: false,
         }
@@ -2246,6 +2288,7 @@ fn accumulate_cached(
 mod tests {
     use super::*;
     use crate::{evaluate, Mapper, MapperConfig, Objective};
+    use proptest::prelude::*;
     use sunmap_power::Technology;
     use sunmap_topology::builders;
     use sunmap_traffic::benchmarks;
@@ -2392,6 +2435,88 @@ mod tests {
         );
         assert_eq!(evaluated, occupied_pairs);
         assert_eq!(observed, occupied_pairs);
+    }
+
+    /// The placement that puts core `i` on the mappable vertex with the
+    /// `i`-th smallest key (`keys[j]` keys the `j`-th mappable vertex).
+    fn keyed_placement(g: &TopologyGraph, cores: usize, keys: &[u64]) -> Placement {
+        let mut keyed: Vec<_> = g.mappable_nodes().iter().zip(keys).collect();
+        assert_eq!(keyed.len(), g.mappable_nodes().len(), "a key per vertex");
+        keyed.sort_by_key(|&(_, key)| key);
+        let nodes = keyed.iter().take(cores).map(|&(&n, _)| n).collect();
+        Placement::new(nodes, g).expect("distinct mappable vertices")
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(512))]
+
+        /// The bounded evaluation routes before it floorplans; whatever
+        /// the order, it must stay sound. On random VOPD placements over
+        /// the 12-core library, every routing and objective, incumbents
+        /// taken from another placement's report and three constraint
+        /// regimes (default, relaxed bandwidth, and chip-aspect bounds
+        /// tight enough to fail some floorplans, drawn twice as often
+        /// because the deferred area check acts only there): a completed
+        /// bounded evaluation equals the unbounded one bit for bit, a
+        /// candidate that beats the incumbent is never abandoned, and
+        /// against a feasible incumbent only feasible candidates
+        /// complete.
+        #[test]
+        fn bounded_evaluation_is_sound(
+            topology in 0usize..5,
+            routing in 0usize..4,
+            objective in 0usize..4,
+            regime in 0usize..4,
+            candidate_keys in proptest::collection::vec(0u64..u64::MAX, 16),
+            incumbent_keys in proptest::collection::vec(0u64..u64::MAX, 16),
+        ) {
+            let g = builders::standard_library(12, 500.0).unwrap().swap_remove(topology);
+            let app = benchmarks::vopd();
+            let routing = RoutingFunction::ALL[routing];
+            let objective = [
+                Objective::MinDelay,
+                Objective::MinPower,
+                Objective::MinArea,
+                Objective::MinBandwidth,
+            ][objective];
+            let constraints = match regime {
+                0 => Constraints::default(),
+                1 => Constraints::relaxed_bandwidth(),
+                _ => Constraints {
+                    min_chip_aspect: 0.9,
+                    max_chip_aspect: 1.1,
+                    ..Constraints::default()
+                },
+            };
+            let (table, mut lib, _) = engine_fixture(&g, routing);
+            let engine = EvalEngine::new(&g, &app, &table, routing, &mut lib, &constraints);
+            let mut scratch = engine.new_scratch();
+            let candidate = keyed_placement(&g, app.core_count(), &candidate_keys);
+            let incumbent = keyed_placement(&g, app.core_count(), &incumbent_keys);
+            let Ok(incumbent) = engine.evaluate_report(&incumbent, &mut scratch) else {
+                return Err(TestCaseError::reject("unroutable incumbent"));
+            };
+            let inc = Incumbent::of(&incumbent, objective);
+            let full = engine.evaluate_report(&candidate, &mut scratch);
+            let bounded = engine.evaluate_bounded(&candidate, &mut scratch, &inc, objective);
+            if let Some(r) = &bounded {
+                let full = full.as_ref().expect("a completed bounded evaluation routed");
+                // Debug prints each float's shortest round-trip form,
+                // so equal text is equal bits (signed zeros included).
+                prop_assert_eq!(format!("{r:?}"), format!("{full:?}"));
+                prop_assert!(
+                    !inc.feasible || r.feasible(),
+                    "{routing} {objective}: an infeasible candidate completed \
+                     against a feasible incumbent"
+                );
+            }
+            if let Ok(full) = &full {
+                prop_assert!(
+                    bounded.is_some() || !full.better_than(&incumbent, objective),
+                    "{routing} {objective}: a winning candidate was abandoned"
+                );
+            }
+        }
     }
 
     /// Every unordered pair of mappable vertices, in the mapper's order.

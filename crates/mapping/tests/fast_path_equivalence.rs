@@ -416,3 +416,46 @@ fn delta_pruned_matches_exhaustive_on_64_core_synthetic_mesh() {
         assert_eq!(auto.report(), delta.report());
     }
 }
+
+/// The strict-bandwidth sibling of the case above: at 500 MB/s this
+/// 64-core mesh search ends infeasible, so every delta-pruned candidate
+/// is scored against an infeasible incumbent (no pre-bound, only the
+/// mid-routing max-load exit). Both scorers must still settle on the
+/// same least-infeasible report, the delta scorer after fewer full
+/// evaluations.
+#[test]
+fn delta_pruned_matches_exhaustive_on_infeasible_64_core_synthetic_mesh() {
+    use sunmap_topology::builders;
+    use sunmap_traffic::synthetic::SyntheticSpec;
+
+    let spec: SyntheticSpec = "synth:seed=13,cores=64".parse().expect("valid spec");
+    let app = spec.generate();
+    let g = builders::mesh(8, 8, 500.0).expect("mesh builds");
+    for objective in [Objective::MinDelay, Objective::MinPower] {
+        let run = |swap_strategy| {
+            let mut evaluated = 0usize;
+            let config = MapperConfig {
+                routing: RoutingFunction::MinPath,
+                objective,
+                max_swap_passes: 1,
+                swap_strategy,
+                ..MapperConfig::default()
+            };
+            let result = Mapper::new(&g, &app, config).run_observed(|_| evaluated += 1);
+            match result {
+                Err(MappingError::NoFeasibleMapping(best)) => (best, evaluated),
+                other => panic!("{objective}: expected NoFeasibleMapping, got {other:?}"),
+            }
+        };
+        let (full, full_evaluated) = run(SwapStrategy::Exhaustive);
+        let (delta, delta_evaluated) = run(SwapStrategy::DeltaPruned);
+        assert_eq!(
+            full, delta,
+            "{objective}: least-infeasible reports diverged"
+        );
+        assert!(
+            delta_evaluated < full_evaluated,
+            "{objective}: pruning did not reduce evaluations"
+        );
+    }
+}

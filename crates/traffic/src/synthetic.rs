@@ -191,6 +191,21 @@ impl SyntheticSpec {
             "bwmax",
             "bwmin..=finite MB/s",
         )?;
+        // A draw scales bwmin by a power of bwmax/bwmin, and one edge
+        // merges up to `degree` draws of at most bwmax each. Both must
+        // stay finite, with headroom far above the few ulps the draw
+        // and the merge sum can round up by, or `generate` could yield
+        // an infinite bandwidth.
+        range(
+            (self.max_bandwidth / self.min_bandwidth).is_finite(),
+            "bwmax",
+            "a finite multiple of bwmin",
+        )?;
+        range(
+            (self.max_bandwidth * self.degree as f64 * (1.0 + 1e-9)).is_finite(),
+            "bwmax",
+            "MB/s small enough that degree x bwmax is finite",
+        )?;
         Ok(())
     }
 
@@ -510,6 +525,37 @@ mod tests {
             "synth:bwmax=1".parse::<SyntheticSpec>(),
             Err(ParseSpecError::OutOfRange { key: "bwmax", .. })
         ));
+    }
+
+    #[test]
+    fn specs_that_could_overflow_a_bandwidth_are_rejected() {
+        // Each of these used to validate and then panic in `generate`
+        // (or could, for an unlucky seed) on an infinite bandwidth.
+        for text in [
+            "synth:seed=1,cores=4,bwmin=1e-300,bwmax=1e300",
+            "synth:seed=1,cores=4,bwmin=1e-320,bwmax=1",
+            "synth:bwmin=0.5,bwmax=1.7976931348623157e308",
+            "synth:degree=2,bwmin=1e308,bwmax=1e308",
+        ] {
+            assert!(
+                matches!(
+                    text.parse::<SyntheticSpec>(),
+                    Err(ParseSpecError::OutOfRange { key: "bwmax", .. })
+                ),
+                "{text} must be rejected"
+            );
+        }
+        // The largest specs that cannot overflow still generate.
+        for text in [
+            "synth:degree=1,bwmin=1e308,bwmax=1e308",
+            "synth:bwmin=1e-300,bwmax=1e7",
+        ] {
+            let app = text.parse::<SyntheticSpec>().expect(text).generate();
+            assert!(
+                app.edges().iter().all(|e| e.bandwidth.is_finite()),
+                "{text}"
+            );
+        }
     }
 
     #[test]

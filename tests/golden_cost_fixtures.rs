@@ -14,7 +14,7 @@
 //! are the feasible configurations the `mapping_speed` bench also uses
 //! (MPEG4 needs split-traffic routing at 500 MB/s links, §6.1).
 
-use sunmap::mapping::Constraints;
+use sunmap::mapping::{Constraints, MappingError};
 use sunmap::topology::builders;
 use sunmap::traffic::benchmarks;
 use sunmap::traffic::synthetic::SyntheticSpec;
@@ -286,6 +286,77 @@ fn scale_tier_mappings_match_the_pinned_goldens() {
             }
         }
         assert_eq!(reports[winner].0, "Hypercube", "{tier}c: winner drifted");
+    }
+}
+
+/// One pinned pruning outcome: `synth:seed=7,cores=32` on one library
+/// topology under MinPower / MP at 500 MB/s links. With 32 mappable
+/// vertices the default search is the delta-pruned one, so the number
+/// of candidates it evaluates pins its pruning, including on the
+/// butterfly, whose search ends infeasible and prunes only through the
+/// mid-routing max-load exit.
+struct PruneFixture {
+    kind: &'static str,
+    /// Candidate reports `run_observed` saw (the greedy seed included).
+    observed: usize,
+    /// `Ok(power_mw)` of the feasible winner, or `Err(max_link_load)`
+    /// of the least-infeasible mapping.
+    outcome: Result<f64, f64>,
+}
+
+/// Captured in a release build; the test also runs in the debug
+/// tier-1 suite, so any debug/release divergence fails it.
+const PRUNE_FIXTURES: &[PruneFixture] = &[
+    PruneFixture {
+        kind: "Mesh",
+        observed: 330,
+        outcome: Ok(2189.388936617785),
+    },
+    PruneFixture {
+        kind: "Torus",
+        observed: 4,
+        outcome: Ok(2206.7052872467502),
+    },
+    PruneFixture {
+        kind: "Hypercube",
+        observed: 13,
+        outcome: Ok(2779.054252434318),
+    },
+    PruneFixture {
+        kind: "Clos",
+        observed: 643,
+        outcome: Ok(3295.23984236653),
+    },
+    PruneFixture {
+        kind: "Butterfly",
+        observed: 1740,
+        outcome: Err(985.532951968849),
+    },
+];
+
+#[test]
+fn pruning_counters_match_the_pinned_goldens() {
+    let app = scale_app(32);
+    let library = builders::standard_library(32, 500.0).expect("library builds");
+    assert_eq!(library.len(), PRUNE_FIXTURES.len());
+    for (g, f) in library.iter().zip(PRUNE_FIXTURES) {
+        assert_eq!(g.kind().name(), f.kind, "library order drifted");
+        let config = MapperConfig {
+            routing: RoutingFunction::MinPath,
+            objective: Objective::MinPower,
+            ..MapperConfig::default()
+        };
+        let mut observed = 0usize;
+        let outcome = match Mapper::new(g, &app, config).run_observed(|_| observed += 1) {
+            Ok(mapping) => {
+                assert_eq!(mapping.evaluated_candidates(), observed, "{}", f.kind);
+                Ok(mapping.report().power_mw)
+            }
+            Err(MappingError::NoFeasibleMapping(best)) => Err(best.max_link_load),
+            Err(e) => panic!("{}: unexpected error {e}", f.kind),
+        };
+        assert_eq!(observed, f.observed, "{}: candidate count drifted", f.kind);
+        assert_eq!(outcome, f.outcome, "{}: outcome drifted", f.kind);
     }
 }
 
