@@ -1729,6 +1729,8 @@ impl<'a> EvalEngine<'a> {
             let area_fails = inc.feasible && !self.area_feasible(floorplan.chip_aspect());
             (!area_fails).then_some((layout, floorplan))
         };
+        // The MinPower bound prices link power by this candidate's link
+        // lengths, so it alone solves the floorplan before routing.
         let mut solved = None;
         let mut len_min = 0.0;
         if power_bound {
