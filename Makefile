@@ -7,10 +7,7 @@
 
 CARGO ?= cargo
 
-BENCH_SMOKE_JSONL := target/bench-smoke.jsonl
-BENCH_RESULTS := target/BENCH_results.json
-
-.PHONY: all build test bench bench-run bench-smoke bench-record bench-check batch-smoke serve-smoke shard-smoke scale-smoke sim-equiv table-equiv perfbench-test doc lint fmt ci clean
+.PHONY: all build test examples bench-record bench-check batch-smoke serve-smoke shard-smoke scale-smoke sim-equiv table-equiv perfbench-test doc lint fmt ci clean
 
 all: build
 
@@ -22,27 +19,14 @@ build:
 test:
 	$(CARGO) test --locked -q --workspace
 
-## Compile all Criterion bench targets without running them.
-bench:
-	$(CARGO) bench --locked --no-run --workspace
-
-## Run the benches for real (prints paper-figure tables + timings).
-bench-run:
-	$(CARGO) bench --locked --workspace
-
-## Smoke-run EVERY bench target: each benchmark body executes once
-## under the vendored criterion's --test mode (no warm-up, no
-## sampling), so CI verifies that no bench target rots unexecuted.
-## Each run appends a JSON-lines record to $(BENCH_SMOKE_JSONL); the
-## recipe wraps them into the $(BENCH_RESULTS) artifact CI uploads.
-bench-smoke:
-	rm -f $(BENCH_SMOKE_JSONL)
-	CRITERION_SMOKE_JSON=$(CURDIR)/$(BENCH_SMOKE_JSONL) \
-		$(CARGO) bench --locked -p sunmap-bench --benches -- --test
-	@printf '{"schema":"sunmap-bench-smoke/1","benches":[' > $(BENCH_RESULTS)
-	@paste -sd, $(BENCH_SMOKE_JSONL) >> $(BENCH_RESULTS)
-	@printf ']}\n' >> $(BENCH_RESULTS)
-	@echo "wrote $(BENCH_RESULTS)"
+## Build every example under examples/ in release and run each once:
+## they are what prints the paper's figure tables, so an example that
+## stops compiling or panics fails here.
+examples:
+	$(CARGO) build --locked --release -p sunmap-core --examples
+	set -e; for src in examples/*.rs; do \
+		ex=$$(basename $$src .rs); echo "== $$ex"; target/release/examples/$$ex; \
+	done
 
 ## Record the benchmark: every workload BENCHMARK.json declares, run
 ## BENCH_RUNS times (runs interleave the workloads) with the command
@@ -154,7 +138,7 @@ fmt:
 	$(CARGO) fmt --all
 
 ## Everything CI gates on, in CI's order.
-ci: lint build test perfbench-test bench-check doc bench bench-smoke batch-smoke serve-smoke shard-smoke scale-smoke
+ci: lint build test perfbench-test bench-check doc examples batch-smoke serve-smoke shard-smoke scale-smoke
 
 clean:
 	$(CARGO) clean

@@ -114,6 +114,15 @@ fn daemon_matches_one_shot_serves_warm_drains_and_replays() {
     );
     let served = stdout_line(&["client", addr, "explore", "dsp", "--capacity", "1000"]);
     assert_eq!(served, one_shot, "daemon and one-shot bytes must match");
+    // The request carries the canonical spec text, which drops
+    // `hotspot=-0` as the default, so `-0` must seed like `0` does.
+    let spec = "synth:seed=1,cores=8,hotspot=-0";
+    let one_shot_synth = stdout_line(&["explore", spec, "--json"]);
+    let served_synth = stdout_line(&["client", addr, "explore", spec]);
+    assert_eq!(
+        served_synth, one_shot_synth,
+        "{spec}: daemon and one-shot bytes must match"
+    );
 
     // (b) The same topology again is a recorded cache hit.
     let served_again = stdout_line(&["client", addr, "explore", "dsp", "--capacity", "1000"]);
@@ -162,12 +171,12 @@ fn daemon_matches_one_shot_serves_warm_drains_and_replays() {
         dump.contains("\"schema\":\"sunmap-serve-metrics/1\""),
         "{dump}"
     );
-    assert!(dump.contains("\"explore\":3"), "{dump}");
+    assert!(dump.contains("\"explore\":4"), "{dump}");
 
     // (d) Replaying the request log through the one-shot path
     // reproduces every report byte-for-byte...
     let replay = stdout_line(&["replay", "--log", log.to_str().unwrap()]);
-    assert!(replay.contains("replay ok: 3 request(s)"), "{replay}");
+    assert!(replay.contains("replay ok: 4 request(s)"), "{replay}");
 
     // ...and a tampered log is rejected with a non-zero exit. The
     // first `capacity` on line one is the logged *request*'s: bumping

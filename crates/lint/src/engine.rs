@@ -16,8 +16,6 @@ pub enum FileKind {
     /// Integration tests (`tests/` directories): may read wall clocks
     /// and pin wire bytes as literals.
     Test,
-    /// Bench targets (`benches/`): timing is their job.
-    Bench,
     /// Example programs (`examples/`).
     Example,
 }
@@ -272,8 +270,6 @@ pub fn classify(path: &str) -> FileKind {
     let seg = |s: &str| path.starts_with(&format!("{s}/")) || path.contains(&format!("/{s}/"));
     if seg("tests") {
         FileKind::Test
-    } else if seg("benches") {
-        FileKind::Bench
     } else if seg("examples") {
         FileKind::Example
     } else {

@@ -33,8 +33,8 @@
 //! [`RoutePlan`] of `Copy` hop records. The pre-rebuild
 //! [`reference`](mod@reference) engine is kept as the behavioral
 //! oracle: the equivalence tests require bit-identical
-//! [`LatencyStats`] per seed, and the `sim_speed` bench times the
-//! production engine against it. Both are selected through
+//! [`LatencyStats`] per seed, and require the production engine to
+//! stay at least 3× faster than it. Both are selected through
 //! [`SimEngine`] on [`SimConfig`] and driven through a [`SimSession`].
 //! Simulations are deterministic (everything is index-ordered; no
 //! hash-map iteration anywhere), and [`sweep`] fans rate×topology grids

@@ -7,9 +7,9 @@
 //! cycle, which is why it was replaced — but its *semantics* are the
 //! contract: the equivalence suite in `tests/engine_equivalence.rs`
 //! asserts the event engine's [`LatencyStats`] are bit-identical to
-//! this engine's for the same seed, and the `sim_speed` bench group
-//! measures the rebuild's speedup against it. Do not optimise this
-//! module.
+//! this engine's for the same seed, and the same suite requires the
+//! event engine to stay at least 3× faster than it. Do not optimise
+//! this module.
 
 // lint:allow(hash-iter): frozen oracle module, kept byte-for-byte as the equivalence baseline
 use std::collections::{HashMap, VecDeque};

@@ -7,7 +7,10 @@
 //! timing model all at once.
 //!
 //! Set `SIM_EQUIV_CASES=<n>` to sweep `n` extra injection rates per
-//! case on top of the defaults (`make sim-equiv` wires this up).
+//! case on top of the defaults (`make sim-equiv` wires this up). The
+//! event engine must also stay at least 3× faster than the reference.
+
+use std::time::Instant;
 
 use sunmap_mapping::{Evaluation, Mapper, MapperConfig};
 use sunmap_sim::{adversarial_pattern, SimConfig, SimEngine, SimSession};
@@ -220,4 +223,34 @@ fn zero_rate_is_empty_on_every_engine() {
     let reference = run(SimEngine::Reference);
     assert_eq!(reference.packets_delivered, 0);
     assert_eq!(reference, run(SimEngine::EventDriven));
+}
+
+#[test]
+fn event_engine_stays_3x_faster_than_reference() {
+    // A 4×4 mesh under uniform traffic at 0.05. Without drain cycles
+    // both engines simulate exactly the same cycles. They alternate,
+    // each keeping its fastest of five runs, so load from other
+    // processes slows both rather than one.
+    let g = builders::mesh(4, 4, 500.0).unwrap();
+    let config = |engine| SimConfig {
+        engine,
+        drain_cycles: 0,
+        ..SimConfig::default()
+    };
+    let mut sessions = [SimEngine::EventDriven, SimEngine::Reference]
+        .map(|engine| SimSession::builder(&g).config(config(engine)).build());
+    let mut fastest = [f64::INFINITY; 2];
+    for _ in 0..5 {
+        for (session, best) in sessions.iter_mut().zip(&mut fastest) {
+            let start = Instant::now();
+            session.run_synthetic(&TrafficPattern::UniformRandom, 0.05);
+            *best = best.min(start.elapsed().as_secs_f64());
+        }
+    }
+    let [event, reference] = fastest;
+    assert!(
+        reference >= 3.0 * event,
+        "event engine is only {:.2}x the reference ({event:.4} s vs {reference:.4} s)",
+        reference / event
+    );
 }

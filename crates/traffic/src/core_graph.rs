@@ -150,8 +150,9 @@ impl CoreGraph {
     ///
     /// # Errors
     ///
-    /// Returns an error for self-edges, unknown endpoints, or
-    /// non-positive bandwidth.
+    /// Returns an error for self-edges, unknown endpoints, a
+    /// non-positive or non-finite bandwidth, or a merged demand that is
+    /// not finite; the graph is then unchanged.
     pub fn add_traffic(
         &mut self,
         src: CoreId,
@@ -170,7 +171,11 @@ impl CoreGraph {
             return Err(TrafficError::InvalidBandwidth(bandwidth));
         }
         if let Some(existing) = self.edges.iter_mut().find(|e| e.src == src && e.dst == dst) {
-            existing.bandwidth += bandwidth;
+            let merged = existing.bandwidth + bandwidth;
+            if !merged.is_finite() {
+                return Err(TrafficError::InvalidBandwidth(merged));
+            }
+            existing.bandwidth = merged;
         } else {
             self.edges.push(Commodity {
                 src,
@@ -366,6 +371,15 @@ mod tests {
         g.add_traffic(a, b, 5.0).unwrap();
         assert_eq!(g.edge_count(), 1);
         assert_eq!(g.total_traffic(), 15.0);
+        // A merged demand must stay finite; a refused merge leaves the
+        // graph as it was.
+        g.add_traffic(b, a, 1e308).unwrap();
+        let before = g.clone();
+        assert_eq!(
+            g.add_traffic(b, a, 1e308),
+            Err(TrafficError::InvalidBandwidth(f64::INFINITY))
+        );
+        assert_eq!(g, before);
     }
 
     #[test]

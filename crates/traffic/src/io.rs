@@ -293,6 +293,14 @@ mod tests {
             parse_app("core a 1.0\ncore b 1.0\ntraffic a b -5\n"),
             Err(ParseAppError::Invalid { line: 3, .. })
         ));
+        // Each demand is finite, but their merged sum is not.
+        assert_eq!(
+            parse_app("core a 1.0\ncore b 1.0\ntraffic a b 1e308\ntraffic a b 1e308\n"),
+            Err(ParseAppError::Invalid {
+                line: 4,
+                source: TrafficError::InvalidBandwidth(f64::INFINITY)
+            })
+        );
         assert!(matches!(
             parse_app("core a 1.0 extra_stuff\n"),
             Err(ParseAppError::WrongArity { line: 1, .. })

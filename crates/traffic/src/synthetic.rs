@@ -236,8 +236,8 @@ impl SyntheticSpec {
         let mut rng = SmallRng::seed_from_u64(
             self.seed
                 ^ (n as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15)
-                ^ self.locality.to_bits().rotate_left(17)
-                ^ self.hotspot.to_bits().rotate_left(31)
+                ^ unsigned_zero(self.locality).to_bits().rotate_left(17)
+                ^ unsigned_zero(self.hotspot).to_bits().rotate_left(31)
                 ^ (self.degree as u64).rotate_left(47)
                 ^ self.min_bandwidth.to_bits().rotate_left(7)
                 ^ self.max_bandwidth.to_bits().rotate_left(53),
@@ -294,10 +294,10 @@ impl SyntheticSpec {
             items.push(format!("cores={}", self.cores));
         }
         if self.locality != d.locality {
-            items.push(format!("locality={}", self.locality));
+            items.push(format!("locality={}", unsigned_zero(self.locality)));
         }
         if self.hotspot != d.hotspot {
-            items.push(format!("hotspot={}", self.hotspot));
+            items.push(format!("hotspot={}", unsigned_zero(self.hotspot)));
         }
         if self.degree != d.degree {
             items.push(format!("degree={}", self.degree));
@@ -310,6 +310,13 @@ impl SyntheticSpec {
         }
         format!("synth:{}", items.join(","))
     }
+}
+
+/// `x` with a negative zero read as `0` (adding `0.0` changes no other
+/// value). Specs compare `-0.0` equal to `0.0`, so the seed and the
+/// canonical text, the only places that can tell them apart, must not.
+fn unsigned_zero(x: f64) -> f64 {
+    x + 0.0
 }
 
 impl std::fmt::Display for SyntheticSpec {
@@ -477,6 +484,16 @@ mod tests {
             let text = spec.to_string();
             let parsed: SyntheticSpec = text.parse().unwrap();
             assert_eq!(parsed, spec, "{text} did not round-trip");
+        }
+    }
+
+    #[test]
+    fn negative_zero_seeds_and_prints_like_zero() {
+        for key in ["locality", "hotspot"] {
+            let spec = |value: &str| format!("synth:{key}={value}").parse::<SyntheticSpec>();
+            let (zero, negative) = (spec("0").unwrap(), spec("-0").unwrap());
+            assert_eq!(negative.to_string(), zero.to_string());
+            assert_eq!(negative.generate(), zero.generate(), "{key}=-0");
         }
     }
 

@@ -1,7 +1,8 @@
 //! Property tests: the `synth:` spec parser and generator are total —
 //! any key/value soup either fails to parse or generates a graph with
 //! only finite, positive bandwidths, without panicking — and every
-//! valid spec's canonical text parses back to an equal spec.
+//! valid spec's canonical text parses back to an equal spec that
+//! generates an equal graph.
 
 use proptest::collection;
 use proptest::prelude::*;
@@ -16,6 +17,7 @@ const KEYS: &[&str] = &[
 /// Values chosen to hit every range edge: zero, negative zero,
 /// subnormals, the largest finite floats, infinities and NaN, integer
 /// overflow, and junk. Core counts stay small so generation is quick.
+/// Negative zero repeats, so that it lands on `hotspot` in a valid spec.
 const VALUES: &[&str] = &[
     "0",
     "1",
@@ -26,6 +28,8 @@ const VALUES: &[&str] = &[
     "64",
     "65",
     "-1",
+    "-0",
+    "-0",
     "-0",
     "0.5",
     "1.0",
@@ -83,7 +87,9 @@ proptest! {
     ) {
         if let Ok(spec) = soup(&items).parse::<SyntheticSpec>() {
             generates_finite_bandwidths(&spec)?;
-            prop_assert_eq!(spec.spec_string().parse::<SyntheticSpec>(), Ok(spec.clone()));
+            let reparsed = spec.spec_string().parse::<SyntheticSpec>();
+            prop_assert_eq!(reparsed, Ok(spec.clone()));
+            prop_assert_eq!(reparsed.unwrap().generate(), spec.generate());
         }
     }
 

@@ -11,8 +11,8 @@
 //! the shift explained in the commit.
 //!
 //! Captured from the PR-4 tree; the per-app capacity/routing choices
-//! are the feasible configurations the `mapping_speed` bench also uses
-//! (MPEG4 needs split-traffic routing at 500 MB/s links, §6.1).
+//! are feasible configurations (MPEG4 needs split-traffic routing at
+//! 500 MB/s links, §6.1).
 
 use sunmap::mapping::{Constraints, MappingError};
 use sunmap::topology::builders;

@@ -100,7 +100,8 @@ fn fig7b_mpeg4_needs_split_routing_and_excludes_butterfly() {
 fn fig8b_clos_outlasts_other_topologies_under_adversarial_load() {
     // At a moderate-high injection rate, the Clos must still deliver
     // packets where weaker topologies saturate (shorter windows keep
-    // the test fast; the bench sweeps the full curve).
+    // the test fast; the network_processor example sweeps the full
+    // curve).
     let cfg = SimConfig {
         warmup_cycles: 300,
         measure_cycles: 2_000,
