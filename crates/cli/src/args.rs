@@ -1,12 +1,8 @@
 //! Hand-rolled argument parsing for the `sunmap` binary (kept
 //! dependency-free; the option surface is small).
 
-use sunmap::request::{
-    parse_engine, parse_objective, parse_routing, parse_swap, parse_table_prep, ConstraintMode,
-    SimProbe,
-};
-use sunmap::sim::SimEngine;
-use sunmap::{Objective, RoutingFunction, SwapStrategy, TablePrep};
+use sunmap::request::{parse_objective, parse_routing, ConstraintMode, SimProbe};
+use sunmap::{Objective, RoutingFunction};
 
 /// Parsed command line.
 #[derive(Debug, Clone, PartialEq)]
@@ -53,15 +49,6 @@ pub struct Cli {
     pub shard: Option<(usize, usize)>,
     /// Jobs per lease for `batch-coordinator`.
     pub grain: usize,
-    /// Phase-3 swap strategy (explore, generate, simulate and `client
-    /// explore`; `batch` jobs always run `auto`).
-    pub swap: SwapStrategy,
-    /// Simulation engine for `simulate`, `sweep`, `explore --validate`
-    /// and probes (`--engine auto|flat|event|reference`).
-    pub engine: SimEngine,
-    /// Route-table preparation policy
-    /// (`--table-prep auto|eager|lazy|closed-form`).
-    pub table_prep: TablePrep,
     /// Winner simulation probe for `explore --json` / `client explore`
     /// (`--probe <pattern> <rate> [top_k]`).
     pub probe: Option<SimProbe>,
@@ -197,18 +184,6 @@ options:
                         slices (1-based); concatenating the n shard outputs
                         in order reproduces the unsharded file exactly
   --grain <n>           batch-coordinator: jobs per lease (default 2)
-  --swap <s>            auto|exhaustive|delta (default auto; explore,
-                        generate, simulate and client explore)
-  --engine <e>          simulation engine: auto|flat|event|reference
-                        (default auto; auto, flat and event all run the
-                        event-driven engine, reference the slow oracle it
-                        is bit-identical to; applies to simulate/sweep/
-                        explore --validate and probes)
-  --table-prep <p>      route-table preparation: auto|eager|lazy|closed-form
-                        (default auto: eager up to 64 mappable vertices,
-                        closed-form/lazy above; all variants answer
-                        bit-identically — this is a speed/memory knob
-                        for large topologies)
   --probe <pat> <rate> [k]
                         simulate the k best candidates (default 1: winner
                         only) under a synthetic pattern at <rate>
@@ -325,9 +300,6 @@ impl Cli {
             resume: false,
             shard: None,
             grain: 2,
-            swap: SwapStrategy::Auto,
-            engine: SimEngine::Auto,
-            table_prep: TablePrep::Auto,
             probe: None,
             json: false,
             listen: "127.0.0.1:7420".to_string(),
@@ -413,16 +385,6 @@ impl Cli {
                     cli.grain = text.parse().ok().filter(|&g| g > 0).ok_or_else(|| {
                         ParseCliError(format!("'{text}' is not a lease grain (need >= 1)"))
                     })?;
-                }
-                "--swap" => {
-                    cli.swap = parse_swap(&value("--swap")?).map_err(ParseCliError)?;
-                }
-                "--engine" => {
-                    cli.engine = parse_engine(&value("--engine")?).map_err(ParseCliError)?;
-                }
-                "--table-prep" => {
-                    cli.table_prep =
-                        parse_table_prep(&value("--table-prep")?).map_err(ParseCliError)?;
                 }
                 "--probe" => {
                     let pattern = value("--probe")?;
@@ -789,8 +751,6 @@ mod tests {
             "vopd",
             "--objective",
             "power",
-            "--swap",
-            "delta",
             "--probe",
             "uniform",
             "0.1",
@@ -801,7 +761,6 @@ mod tests {
         assert_eq!(cli.client_op, ClientOp::Explore);
         assert_eq!(cli.app, "vopd");
         assert_eq!(cli.objective, Objective::MinPower);
-        assert_eq!(cli.swap, SwapStrategy::DeltaPruned);
         assert_eq!(cli.probe.as_ref().unwrap().rate, 0.1);
 
         let cli = Cli::parse(["client", "127.0.0.1:7420", "shutdown"]).unwrap();
@@ -839,10 +798,14 @@ mod tests {
             .unwrap_err()
             .0
             .contains("cache size"));
-        assert!(Cli::parse(["explore", "vopd", "--swap", "sideways"])
-            .unwrap_err()
-            .0
-            .contains("auto, exhaustive, delta"));
+        // The options that chose how to compute, not what to map, are
+        // gone: each is an unknown option, whatever its value.
+        for flag in ["--swap", "--engine", "--table-prep"] {
+            for command in ["explore vopd", "simulate vopd", "client :7420 explore vopd"] {
+                let err = Cli::parse(format!("{command} {flag} auto").split(' ')).unwrap_err();
+                assert_eq!(err.0, format!("unknown option '{flag}'"));
+            }
+        }
         assert!(Cli::parse(["explore", "vopd", "--probe", "uniform"])
             .unwrap_err()
             .0
@@ -860,48 +823,6 @@ mod tests {
         ] {
             assert_refused(words, "--probe", "client explore");
         }
-    }
-
-    #[test]
-    fn engine_flag_parses_and_defaults_to_auto() {
-        assert_eq!(
-            Cli::parse(["simulate", "vopd"]).unwrap().engine,
-            SimEngine::Auto
-        );
-        for (text, expected) in [
-            ("auto", SimEngine::Auto),
-            ("flat", SimEngine::Flat),
-            ("event", SimEngine::EventDriven),
-            ("Reference", SimEngine::Reference),
-        ] {
-            let cli = Cli::parse(["simulate", "vopd", "--engine", text]).unwrap();
-            assert_eq!(cli.engine, expected, "{text}");
-        }
-        let err = Cli::parse(["sweep", "vopd", "--engine", "warp"]).unwrap_err();
-        assert!(err.0.contains("auto, flat, event, reference"), "{}", err.0);
-    }
-
-    #[test]
-    fn table_prep_flag_parses_and_defaults_to_auto() {
-        assert_eq!(
-            Cli::parse(["explore", "vopd"]).unwrap().table_prep,
-            TablePrep::Auto
-        );
-        for (text, expected) in [
-            ("auto", TablePrep::Auto),
-            ("eager", TablePrep::Eager),
-            ("lazy", TablePrep::Lazy),
-            ("Closed-Form", TablePrep::ClosedForm),
-        ] {
-            let cli = Cli::parse(["explore", "vopd", "--table-prep", text]).unwrap();
-            assert_eq!(cli.table_prep, expected, "{text}");
-        }
-        let err = Cli::parse(["explore", "vopd", "--table-prep", "dense"]).unwrap_err();
-        assert!(
-            err.0.contains("auto, eager, lazy, closed-form"),
-            "{}",
-            err.0
-        );
     }
 
     #[test]

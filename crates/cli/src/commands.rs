@@ -70,20 +70,9 @@ fn explore_request(cli: &Cli) -> Result<ExploreRequest, Box<dyn Error>> {
     req.routing = cli.routing;
     req.capacity = cli.capacity;
     req.constraints = cli.constraints;
-    req.swap = cli.swap;
-    req.engine = cli.engine;
-    req.table_prep = cli.table_prep;
     req.probe = cli.probe.clone();
     req.validate()?;
     Ok(req)
-}
-
-/// Default simulator configuration with the CLI-selected engine applied.
-fn sim_config(cli: &Cli) -> SimConfig {
-    SimConfig {
-        engine: cli.engine,
-        ..SimConfig::default()
-    }
 }
 
 fn library(cli: &Cli, cores: usize) -> Result<Vec<TopologyGraph>, Box<dyn Error>> {
@@ -166,7 +155,7 @@ fn replay(cli: &Cli) -> CliResult {
 
 fn explore(cli: &Cli, tool: &Sunmap, mut ex: Exploration) -> CliResult {
     if cli.validate {
-        tool.validate(&mut ex, sim_config(cli), cli.intensity);
+        tool.validate(&mut ex, SimConfig::default(), cli.intensity);
     }
     print!("{}", ex.table());
     match ex.best_candidate() {
@@ -215,7 +204,7 @@ fn sweep(cli: &Cli, app: CoreGraph) -> CliResult {
                 .unwrap_or_else(|| adversarial_pattern(g.kind())),
         })
         .collect();
-    let points = injection_sweep(&requests, &cli.rates, sim_config(cli), cli.workers);
+    let points = injection_sweep(&requests, &cli.rates, SimConfig::default(), cli.workers);
     let out = Path::new(&cli.out_dir);
     fs::create_dir_all(out)?;
     fs::write(out.join("sweep.csv"), sweep_csv(&points))?;
@@ -443,9 +432,7 @@ fn simulate(cli: &Cli, tool: &Sunmap, ex: &Exploration) -> CliResult {
         }
         match &c.outcome {
             Ok(mapping) => {
-                let mut sim = SimSession::builder(&c.graph)
-                    .config(sim_config(cli))
-                    .build();
+                let mut sim = SimSession::builder(&c.graph).build();
                 let stats = sim.run_trace(mapping.evaluation(), tool.application(), cli.intensity);
                 println!(
                     "{:<12} {:>10.1} {:>10} {:>8.0}%",
@@ -628,31 +615,6 @@ mod tests {
         assert!(json.starts_with("{\"schema\":\"sunmap-simulate/1\""));
         assert!(json.contains("\"feasible\":true"));
         let _ = fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn simulate_report_is_identical_across_engines() {
-        let mut reports = Vec::new();
-        for engine in ["flat", "event", "reference", "auto"] {
-            let dir = std::env::temp_dir().join(format!("sunmap_cli_test_engine_{engine}"));
-            let _ = fs::remove_dir_all(&dir);
-            run(&cli(&[
-                "simulate",
-                "dsp",
-                "--capacity",
-                "1000",
-                "--engine",
-                engine,
-                "--out",
-                dir.to_str().unwrap(),
-            ]))
-            .unwrap();
-            reports.push(fs::read_to_string(dir.join("simulate.json")).unwrap());
-            let _ = fs::remove_dir_all(&dir);
-        }
-        for other in &reports[1..] {
-            assert_eq!(&reports[0], other, "engines must report identical bytes");
-        }
     }
 
     #[test]

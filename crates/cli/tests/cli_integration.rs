@@ -42,6 +42,44 @@ Butterfly       2.00        35.99       161.2       yes <= best
 selected: Butterfly 3-ary 2-fly
 "
     );
+
+    // A demand or core areas near f64::MAX overflow the cost sums: no
+    // topology is feasible, rather than five "feasible" rows of
+    // infinite or null costs.
+    let dir = temp_dir("sunmap_it_overflow");
+    fs::create_dir_all(&dir).unwrap();
+    for (name, text, constraints) in [
+        (
+            "demand.app",
+            "core a 1\ncore b 1\ntraffic a b 1e308\n",
+            Some("--relax-bandwidth"),
+        ),
+        (
+            "area.app",
+            "core a 1e308\ncore b 1e308\ntraffic a b 1\n",
+            None,
+        ),
+    ] {
+        let path = dir.join(name);
+        fs::write(&path, text).unwrap();
+        let mut args = vec!["explore", path.to_str().unwrap()];
+        args.extend(constraints);
+        let out = sunmap(&args);
+        assert!(out.status.success(), "{out:?}");
+        let table = String::from_utf8(out.stdout).unwrap();
+        assert!(
+            table.ends_with("no feasible topology under these constraints\n"),
+            "{name}: {table}"
+        );
+        args.push("--json");
+        let out = sunmap(&args);
+        assert!(out.status.success(), "{out:?}");
+        let line = String::from_utf8(out.stdout).unwrap();
+        assert!(line.contains("\"feasible\":0,"), "{name}: {line}");
+        assert!(line.contains("\"winner\":null"), "{name}: {line}");
+        assert_eq!(line.matches("null").count(), 1, "{name}: {line}");
+    }
+    let _ = fs::remove_dir_all(&dir);
 }
 
 #[test]
@@ -437,6 +475,31 @@ fn bad_invocations_fail_with_nonzero_exit() {
 
     let out = sunmap(&["explore", "/does/not/exist.app"]);
     assert!(!out.status.success());
+
+    // The options that chose how to compute, not what to map, are gone:
+    // each is an unknown option on every command, printed with usage.
+    for flag in ["--swap", "--engine", "--table-prep"] {
+        for command in [
+            &["explore", "vopd"][..],
+            &["simulate", "dsp"],
+            &["sweep", "dsp"],
+        ] {
+            let mut args = command.to_vec();
+            args.extend([flag, "auto"]);
+            let out = sunmap(&args);
+            assert_eq!(out.status.code(), Some(1), "{args:?}");
+            let stderr = String::from_utf8(out.stderr).unwrap();
+            assert!(
+                stderr.starts_with(&format!("error: unknown option '{flag}'\n\nusage: sunmap")),
+                "{stderr}"
+            );
+            assert_eq!(
+                stderr.matches(flag).count(),
+                1,
+                "usage offers {flag}: {stderr}"
+            );
+        }
+    }
 
     // Infeasible generation surfaces as a clean error, not a panic.
     let out = sunmap(&["generate", "vopd", "--capacity", "1"]);

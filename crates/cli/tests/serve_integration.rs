@@ -194,76 +194,6 @@ fn daemon_matches_one_shot_serves_warm_drains_and_replays() {
 }
 
 #[test]
-fn table_prep_variants_share_bytes_and_split_the_cache_only_when_resolved_apart() {
-    let dir = temp_dir("sunmap_it_serve_prep");
-    fs::create_dir_all(&dir).unwrap();
-    let log = dir.join("requests.jsonl");
-    let daemon = Daemon::spawn(&log);
-    let addr: &str = &daemon.addr.clone();
-
-    // Cold build under the default `auto` preparation.
-    let auto = stdout_line(&["client", addr, "explore", "dsp", "--capacity", "1000"]);
-    // At seed-benchmark size `auto` resolves to `eager`, so an explicit
-    // `--table-prep eager` must reuse the warm library (a cache hit)...
-    let eager = stdout_line(&[
-        "client",
-        addr,
-        "explore",
-        "dsp",
-        "--capacity",
-        "1000",
-        "--table-prep",
-        "eager",
-    ]);
-    assert_eq!(eager, auto, "eager and auto must share bytes");
-    // ...while `lazy` resolves differently: a second cold build (miss),
-    // but the report bytes are invariant under the preparation knob.
-    let lazy = stdout_line(&[
-        "client",
-        addr,
-        "explore",
-        "dsp",
-        "--capacity",
-        "1000",
-        "--table-prep",
-        "lazy",
-    ]);
-    assert_eq!(lazy, auto, "reports must not depend on table preparation");
-    // The lazy library is cached under its own resolved variant and
-    // serves the repeat warm — no cross-variant eviction.
-    let lazy_again = stdout_line(&[
-        "client",
-        addr,
-        "explore",
-        "dsp",
-        "--capacity",
-        "1000",
-        "--table-prep",
-        "lazy",
-    ]);
-    assert_eq!(lazy_again, auto);
-
-    let stats_line = stdout_line(&["client", addr, "stats"]);
-    let stats = Parser::parse(&stats_line).expect("stats frame parses");
-    let metrics = stats.get("metrics").expect("stats carries metrics");
-    let cache = metrics.get("cache").expect("cache section");
-    assert_eq!(
-        cache.get("hits").and_then(Json::as_f64),
-        Some(2.0),
-        "{stats_line}"
-    );
-    assert_eq!(
-        cache.get("misses").and_then(Json::as_f64),
-        Some(2.0),
-        "{stats_line}"
-    );
-
-    stdout_line(&["client", addr, "shutdown"]);
-    daemon.wait();
-    let _ = fs::remove_dir_all(&dir);
-}
-
-#[test]
 fn client_against_no_daemon_fails_cleanly() {
     // Port 9 (discard) is almost never listening; connect must fail
     // with a clean error, not a panic or a hang.

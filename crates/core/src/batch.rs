@@ -44,13 +44,12 @@ use std::sync::mpsc;
 use std::sync::Arc;
 
 use crate::request::{
-    execute, parse_engine, parse_objective, parse_routing, parse_table_prep, ConstraintMode,
-    ExploreRequest, LruLibraryCache, SimProbe,
+    execute, parse_objective, parse_routing, ConstraintMode, ExploreRequest, LruLibraryCache,
+    SimProbe,
 };
 use crate::schema::BATCH_SCHEMA;
-use sunmap_mapping::{Objective, RoutingFunction, TablePrep};
+use sunmap_mapping::{Objective, RoutingFunction};
 use sunmap_sim::sweep::json_string;
-use sunmap_sim::SimEngine;
 use sunmap_traffic::{AppSource, CoreGraph};
 
 /// Errors from manifest parsing and job expansion.
@@ -88,7 +87,7 @@ impl std::fmt::Display for ManifestError {
             ManifestError::UnknownDirective { line, word } => write!(
                 f,
                 "line {line}: unknown directive '{word}' (valid: app, objective, \
-                 routing, capacity, constraints, engine, table-prep, simulate)"
+                 routing, capacity, constraints, simulate)"
             ),
             ManifestError::BadValue { line, message } => write!(f, "line {line}: {message}"),
             ManifestError::NoApps => write!(f, "manifest declares no applications"),
@@ -120,8 +119,6 @@ impl std::error::Error for ManifestError {}
 /// routing MP
 /// capacity 500
 /// constraints strict
-/// engine event              # optional: probe simulation engine
-/// table-prep lazy           # optional: route-table preparation
 /// simulate uniform 0.1 3    # optional: simulate each job's 3 best
 /// ```
 #[derive(Debug, Clone, PartialEq, Default)]
@@ -136,16 +133,6 @@ pub struct BatchManifest {
     pub capacities: Vec<f64>,
     /// Constraint-regime axis (empty = `[Strict]`).
     pub constraints: Vec<ConstraintMode>,
-    /// Simulation engine applied to every job's probe (default `auto`;
-    /// not part of the job id — `auto`, `flat` and `event` all run the
-    /// event engine and `reference` is bit-identical to it, so it never
-    /// changes a job's measured numbers, only how fast the probe runs).
-    pub engine: Option<SimEngine>,
-    /// Route-table preparation applied to every job (default `auto`;
-    /// not part of the job id — every variant answers queries
-    /// bit-identically, so it never changes a job's bytes, only how
-    /// fast the tables come up).
-    pub table_prep: Option<TablePrep>,
     /// Winner simulation probe, if requested.
     pub probe: Option<SimProbe>,
 }
@@ -188,8 +175,6 @@ impl BatchManifest {
                 "constraints" => m
                     .constraints
                     .push(ConstraintMode::parse(rest).map_err(bad)?),
-                "engine" => m.engine = Some(parse_engine(rest).map_err(bad)?),
-                "table-prep" => m.table_prep = Some(parse_table_prep(rest).map_err(bad)?),
                 "simulate" => m.probe = Some(SimProbe::parse(rest).map_err(bad)?),
                 other => {
                     return Err(ManifestError::UnknownDirective {
@@ -239,8 +224,6 @@ impl BatchManifest {
                             request.routing = routing;
                             request.capacity = capacity;
                             request.constraints = mode;
-                            request.engine = self.engine.unwrap_or(SimEngine::Auto);
-                            request.table_prep = self.table_prep.unwrap_or(TablePrep::Auto);
                             request.probe = self.probe.clone();
                             jobs.push(BatchJob {
                                 id: format!(
@@ -523,7 +506,7 @@ mod tests {
     use super::*;
     use crate::request::report_body;
     use crate::Sunmap;
-    use sunmap_mapping::SwapStrategy;
+    use sunmap_mapping::{SwapStrategy, TablePrep};
     use sunmap_traffic::patterns::TrafficPattern;
 
     const SMALL_GRID: &str = "\
@@ -582,10 +565,12 @@ capacity 1000
 
     #[test]
     fn manifest_swap_engine_and_probe_reach_every_request() {
-        let m = BatchManifest::parse("app dsp\napp vopd\nengine event\nsimulate transpose 0.2 3\n")
-            .unwrap();
+        let m = BatchManifest::parse(
+            "app dsp\napp vopd\nconstraints relaxed\nsimulate transpose 0.2 3\n",
+        )
+        .unwrap();
         for job in m.jobs().unwrap() {
-            assert_eq!(job.request.engine, SimEngine::EventDriven);
+            assert_eq!(job.request.constraints, ConstraintMode::Relaxed);
             assert_eq!(
                 job.request.probe,
                 Some(SimProbe {
@@ -594,19 +579,12 @@ capacity 1000
                     top_k: 3,
                 })
             );
+            // No directive chooses how a job is computed: every job
+            // keeps the `Auto` swap scorer and table preparation, and
+            // its probe runs the default engine.
+            assert_eq!(job.request.swap, SwapStrategy::Auto);
+            assert_eq!(job.request.table_prep, TablePrep::Auto);
         }
-        // Batch jobs always run the `auto` swap strategy: a `swap` line
-        // is not a directive.
-        let e = BatchManifest::parse("swap sometimes\n").unwrap_err();
-        assert!(
-            matches!(&e, ManifestError::UnknownDirective { line: 1, word } if word == "swap"),
-            "{e}"
-        );
-        let e = BatchManifest::parse("engine warp\n").unwrap_err();
-        assert!(
-            e.to_string().contains("auto, flat, event, reference"),
-            "{e}"
-        );
     }
 
     #[test]
@@ -622,6 +600,23 @@ capacity 1000
         assert!(e.to_string().contains("positive"), "{e}");
         let e = BatchManifest::parse("simulate warp 0.1\n").unwrap_err();
         assert!(e.to_string().contains("uniform"), "error lists names: {e}");
+        // Words that chose how to compute, not what to map, are unknown
+        // directives at their line, and the valid list does not offer
+        // them.
+        for (text, word, line) in [
+            ("app vopd\nengine event\n", "engine", 2),
+            ("app vopd\n\ntable-prep lazy\n", "table-prep", 3),
+            ("swap exhaustive\n", "swap", 1),
+        ] {
+            let e = BatchManifest::parse(text).unwrap_err();
+            assert_eq!(
+                e.to_string(),
+                format!(
+                    "line {line}: unknown directive '{word}' (valid: app, objective, routing, \
+                     capacity, constraints, simulate)"
+                )
+            );
+        }
         assert!(matches!(
             BatchManifest::parse("").unwrap().jobs(),
             Err(ManifestError::NoApps)
@@ -836,36 +831,17 @@ capacity 1000
 
     #[test]
     fn top_k_probes_report_drift_per_candidate() {
-        let m =
-            BatchManifest::parse("app dsp\ncapacity 1000\nengine flat\nsimulate uniform 0.05 3\n")
-                .unwrap();
+        let m = BatchManifest::parse("app dsp\ncapacity 1000\nsimulate uniform 0.05 3\n").unwrap();
         let lines = collect(&m.jobs().unwrap(), 1);
         let line = &lines[0];
         assert!(line.contains("\"sim\":{\"pattern\":\"uniform\""), "{line}");
         assert!(line.contains("\"probes\":[{\"rank\":1,"), "{line}");
         assert!(line.contains("\"rank\":3"), "{line}");
-        // A probe names the engine that ran: `flat` resolves to `event`.
+        // A probe names the engine that ran: the default resolves to
+        // `event`.
         assert!(line.contains("\"engine\":\"event\""), "{line}");
         assert!(line.contains("\"analytical_latency_cycles\":"), "{line}");
         assert!(line.contains("\"latency_drift\":"), "{line}");
-    }
-
-    #[test]
-    fn engines_produce_identical_winner_bytes() {
-        // The reference == event contract surfaces here as whole batch
-        // lines: a winner-only probe renders the same bytes on every
-        // engine spelling.
-        let run = |engine: &str| {
-            let m = BatchManifest::parse(&format!(
-                "app dsp\ncapacity 1000\nengine {engine}\nsimulate uniform 0.05\n"
-            ))
-            .unwrap();
-            collect(&m.jobs().unwrap(), 1)
-        };
-        let flat = run("flat");
-        assert_eq!(flat, run("event"));
-        assert_eq!(flat, run("reference"));
-        assert_eq!(flat, run("auto"));
     }
 
     #[test]

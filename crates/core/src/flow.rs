@@ -226,7 +226,9 @@ pub struct GeneratedDesign {
 
 /// Builder for [`Sunmap`] (see the crate-level quickstart). Every value
 /// it sets is also an [`ExploreRequest`] field with the same default;
-/// [`Sunmap::for_request`] takes them from a request instead.
+/// [`Sunmap::for_request`] takes them from a request instead. How the
+/// search scores swaps and prepares route tables is not a builder
+/// setting: a built tool always runs `Auto`.
 #[derive(Debug, Clone)]
 pub struct SunmapBuilder {
     app: Arc<CoreGraph>,
@@ -265,24 +267,6 @@ impl SunmapBuilder {
         self
     }
 
-    /// How the swap phase scores candidates (default
-    /// [`SwapStrategy::Auto`]: exhaustive on small topologies, the
-    /// incremental delta-pruned engine on large ones — winners are
-    /// bit-identical either way).
-    pub fn swap_strategy(mut self, strategy: SwapStrategy) -> Self {
-        self.swap_strategy = strategy;
-        self
-    }
-
-    /// How each candidate's route table prepares its pair-wise
-    /// structures (default [`TablePrep::Auto`]: eager on small
-    /// topologies, lazy/closed-form at scale — query answers are
-    /// bit-identical either way).
-    pub fn table_prep(mut self, prep: TablePrep) -> Self {
-        self.table_prep = prep;
-        self
-    }
-
     /// Finalises the configuration.
     pub fn build(self) -> Sunmap {
         Sunmap { inner: self }
@@ -310,8 +294,10 @@ impl Sunmap {
         }
     }
 
-    /// The tool `req` describes for its resolved application `app` (the
-    /// request's engine and probe are the caller's to apply).
+    /// The tool `req` describes for its resolved application `app`,
+    /// including the library-only [`ExploreRequest::swap`] and
+    /// [`ExploreRequest::table_prep`] (the request's probe is the
+    /// caller's to apply).
     pub fn for_request(req: &ExploreRequest, app: Arc<CoreGraph>) -> Sunmap {
         Sunmap {
             inner: SunmapBuilder {

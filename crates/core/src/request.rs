@@ -2,10 +2,12 @@
 //!
 //! An [`ExploreRequest`] is the one serializable description of a
 //! mapping exploration — application source, objective, routing
-//! function, link capacity, constraint regime, swap strategy and an
-//! optional simulation probe — with a single validate path and a
-//! canonical JSON form that round-trips ([`ExploreRequest::to_json`] /
-//! [`ExploreRequest::from_json`]).
+//! function, link capacity, constraint regime and an optional
+//! simulation probe — with a single validate path and a canonical JSON
+//! form that round-trips ([`ExploreRequest::to_json`] /
+//! [`ExploreRequest::from_json`]). It names *what* to map; how the
+//! search scores swaps, how route tables are prepared and which
+//! simulator runs a probe are choices the code makes.
 //!
 //! The module also owns the cached execution path: [`execute`] runs
 //! [`Sunmap::explore`]'s executor over warm route tables and renders
@@ -20,11 +22,11 @@
 //! same request run one-shot, by construction rather than by test.
 //!
 //! Per-topology route state ([`TopoState`]) is cached in an
-//! [`LruLibraryCache`] keyed by `(core count, link capacity)`; the
-//! [`LruLibraryCache::checkout`] / [`LruLibraryCache::checkin`] pair
-//! lets a daemon worker take a library out of a shared `Mutex`'d cache
-//! for the duration of a request instead of serializing all mapping
-//! work behind the lock.
+//! [`LruLibraryCache`] keyed by `(core count, link capacity, table
+//! preparation)`; the [`LruLibraryCache::checkout`] /
+//! [`LruLibraryCache::checkin`] pair lets a daemon worker take a
+//! library out of a shared `Mutex`'d cache for the duration of a
+//! request instead of serializing all mapping work behind the lock.
 //!
 //! # Examples
 //!
@@ -56,7 +58,7 @@ use sunmap_mapping::{
     Constraints, Mapping, Objective, RouteTable, RoutingFunction, SwapStrategy, TablePrep,
 };
 use sunmap_sim::sweep::{json_number, json_string, stats_json_fields};
-use sunmap_sim::{LatencyStats, RoutePlan, SimConfig, SimEngine, SimSession};
+use sunmap_sim::{LatencyStats, RoutePlan, SimConfig, SimSession};
 use sunmap_topology::{builders, TopologyGraph};
 use sunmap_traffic::patterns::TrafficPattern;
 use sunmap_traffic::{AppSource, CoreGraph};
@@ -107,8 +109,8 @@ impl ConstraintMode {
 
 /// An optional simulation probe: the `top_k` best-ranked topologies
 /// are simulated under this synthetic pattern and injection rate,
-/// through the request's shared per-topology [`RoutePlan`]s, on the
-/// engine the request selects ([`ExploreRequest::engine`]).
+/// through the request's shared per-topology [`RoutePlan`]s, under
+/// [`SimConfig::default`] (the event-driven engine).
 ///
 /// With `top_k == 1` (the default) only the winner is probed and the
 /// report keeps its historical `"sim"` object byte for byte; above 1
@@ -137,12 +139,7 @@ impl SimProbe {
         let pattern = parts
             .next()
             .ok_or_else(|| "probe needs a pattern and a rate".to_string())?;
-        let pattern = TrafficPattern::from_name(pattern).ok_or_else(|| {
-            format!(
-                "unknown pattern '{pattern}' (valid: {})",
-                TrafficPattern::NAMES.join(", ")
-            )
-        })?;
+        let pattern = parse_pattern(pattern)?;
         let rate = parts
             .next()
             .ok_or_else(|| "probe needs a pattern and a rate".to_string())?;
@@ -173,6 +170,20 @@ impl SimProbe {
             top_k,
         })
     }
+}
+
+/// Looks up a probe's pattern name, case-insensitively.
+///
+/// # Errors
+///
+/// The message lists the valid names.
+fn parse_pattern(name: &str) -> Result<TrafficPattern, String> {
+    TrafficPattern::from_name(name).ok_or_else(|| {
+        format!(
+            "unknown pattern '{name}' (valid: {})",
+            TrafficPattern::NAMES.join(", ")
+        )
+    })
 }
 
 /// Parses an objective name (`delay`, `area`, `power`, `bandwidth`),
@@ -222,65 +233,15 @@ pub fn parse_routing(text: &str) -> Result<RoutingFunction, String> {
     }
 }
 
-/// Parses a swap-strategy name (`auto`, `exhaustive`, `delta`),
-/// case-insensitively.
-///
-/// # Errors
-///
-/// The message lists the valid names.
-pub fn parse_swap(text: &str) -> Result<SwapStrategy, String> {
-    match text.to_ascii_lowercase().as_str() {
-        "auto" => Ok(SwapStrategy::Auto),
-        "exhaustive" => Ok(SwapStrategy::Exhaustive),
-        "delta" => Ok(SwapStrategy::DeltaPruned),
-        other => Err(format!(
-            "unknown swap strategy '{other}' (valid: auto, exhaustive, delta)"
-        )),
-    }
-}
-
-/// The name [`parse_swap`] accepts — the inverse used by the canonical
-/// request JSON.
-pub fn swap_name(swap: SwapStrategy) -> &'static str {
-    match swap {
-        SwapStrategy::Auto => "auto",
-        SwapStrategy::Exhaustive => "exhaustive",
-        SwapStrategy::DeltaPruned => "delta",
-    }
-}
-
-/// Parses a simulation-engine name (`auto`, `flat`, `event`,
-/// `reference`), case-insensitively — shared by the manifest parser,
-/// the CLI's `--engine` flag and the request JSON reader.
-///
-/// # Errors
-///
-/// The message lists the valid names.
-pub fn parse_engine(text: &str) -> Result<SimEngine, String> {
-    SimEngine::parse(&text.to_ascii_lowercase())
-        .ok_or_else(|| format!("unknown engine '{text}' (valid: auto, flat, event, reference)"))
-}
-
-/// Parses a table-preparation name (`auto`, `eager`, `lazy`,
-/// `closed-form`), case-insensitively — shared by the manifest parser,
-/// the CLI's `--table-prep` flag and the request JSON reader.
-///
-/// # Errors
-///
-/// The message lists the valid names.
-pub fn parse_table_prep(text: &str) -> Result<TablePrep, String> {
-    TablePrep::parse(&text.to_ascii_lowercase()).ok_or_else(|| {
-        format!("unknown table prep '{text}' (valid: auto, eager, lazy, closed-form)")
-    })
-}
-
 /// One exploration request: everything the flow needs to map an
 /// application across the standard topology library and report the
 /// winner.
 ///
 /// All surfaces construct this type — the CLI from flags, the batch
 /// manifest from its grid axes, the serve daemon from frame JSON — so
-/// there is exactly one set of defaults and one validate path.
+/// there is exactly one set of defaults and one validate path. Only
+/// `swap` and `table_prep` are not part of the JSON form: they are
+/// library values that every surface leaves `Auto`.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ExploreRequest {
     /// What to map.
@@ -293,15 +254,13 @@ pub struct ExploreRequest {
     pub capacity: f64,
     /// Constraint regime (default `strict`).
     pub constraints: ConstraintMode,
-    /// Phase-3 swap strategy (default `auto`).
+    /// Phase-3 swap strategy. Library only: every surface leaves it
+    /// [`SwapStrategy::Auto`], and the JSON form does not carry it.
     pub swap: SwapStrategy,
-    /// Simulation engine for probes and validation runs (default
-    /// `auto`; `auto`, `flat` and `event` all run the event-driven
-    /// engine, `reference` the oracle — see [`SimEngine`]).
-    pub engine: SimEngine,
-    /// Route-table preparation policy (default `auto`: eager on small
-    /// topologies, lazy/closed-form at scale — reports are
-    /// bit-identical either way).
+    /// Route-table preparation, which also keys the cached library.
+    /// Library only: every surface leaves it [`TablePrep::Auto`] (eager
+    /// on small topologies, lazy/closed-form at scale; reports are
+    /// bit-identical either way), and the JSON form does not carry it.
     pub table_prep: TablePrep,
     /// Winner simulation probe, if any.
     pub probe: Option<SimProbe>,
@@ -310,8 +269,8 @@ pub struct ExploreRequest {
 impl ExploreRequest {
     /// A request for `app` under the default configuration (the same
     /// defaults every surface documents: objective `delay`, routing
-    /// `MP`, capacity `500`, constraints `strict`, swap `auto`, engine
-    /// `auto`, table prep `auto`, no probe).
+    /// `MP`, capacity `500`, constraints `strict`, no probe; swap and
+    /// table preparation `Auto`).
     pub fn new(app: AppSource) -> ExploreRequest {
         ExploreRequest {
             app,
@@ -320,7 +279,6 @@ impl ExploreRequest {
             capacity: 500.0,
             constraints: ConstraintMode::Strict,
             swap: SwapStrategy::Auto,
-            engine: SimEngine::Auto,
             table_prep: TablePrep::Auto,
             probe: None,
         }
@@ -352,8 +310,7 @@ impl ExploreRequest {
     ///
     /// ```json
     /// {"app":"vopd","objective":"delay","routing":"MP","capacity":500,
-    ///  "constraints":"strict","swap":"auto","engine":"auto",
-    ///  "table_prep":"auto","probe":null}
+    ///  "constraints":"strict","probe":null}
     /// ```
     ///
     /// Round-trips through [`ExploreRequest::from_json`]. Note the app
@@ -371,16 +328,12 @@ impl ExploreRequest {
         };
         format!(
             "{{\"app\":{},\"objective\":{},\"routing\":{},\"capacity\":{},\
-             \"constraints\":{},\"swap\":{},\"engine\":{},\"table_prep\":{},\
-             \"probe\":{probe}}}",
+             \"constraints\":{},\"probe\":{probe}}}",
             json_string(&self.app.to_string()),
             json_string(objective_name(self.objective)),
             json_string(self.routing.abbrev()),
             json_number(self.capacity),
             json_string(self.constraints.name()),
-            json_string(swap_name(self.swap)),
-            json_string(self.engine.name()),
-            json_string(self.table_prep.name()),
         )
     }
 
@@ -403,15 +356,7 @@ impl ExploreRequest {
         for key in fields.keys() {
             if !matches!(
                 key.as_str(),
-                "app"
-                    | "objective"
-                    | "routing"
-                    | "capacity"
-                    | "constraints"
-                    | "swap"
-                    | "engine"
-                    | "table_prep"
-                    | "probe"
+                "app" | "objective" | "routing" | "capacity" | "constraints" | "probe"
             ) {
                 return Err(format!("unknown request field '{key}'"));
             }
@@ -444,15 +389,6 @@ impl ExploreRequest {
         if let Some(text) = str_field("constraints")? {
             req.constraints = ConstraintMode::parse(text)?;
         }
-        if let Some(text) = str_field("swap")? {
-            req.swap = parse_swap(text)?;
-        }
-        if let Some(text) = str_field("engine")? {
-            req.engine = parse_engine(text)?;
-        }
-        if let Some(text) = str_field("table_prep")? {
-            req.table_prep = parse_table_prep(text)?;
-        }
         match fields.get("probe") {
             None | Some(Json::Null) => {}
             Some(probe) => {
@@ -474,9 +410,13 @@ impl ExploreRequest {
                         k as usize
                     }
                 };
-                let mut parsed = SimProbe::parse(&format!("{pattern} {rate}"))?;
-                parsed.top_k = top_k;
-                req.probe = Some(parsed);
+                // The rate is checked with the other ranges by
+                // `validate` below.
+                req.probe = Some(SimProbe {
+                    pattern: parse_pattern(pattern)?,
+                    rate,
+                    top_k,
+                });
             }
         }
         req.validate()?;
@@ -499,10 +439,11 @@ pub struct TopoState {
 }
 
 /// A checked-out candidate library: the [`TopoState`] of every standard
-/// topology for one `(core count, link capacity)` key.
+/// topology for one `(core count, link capacity, table preparation)`
+/// key.
 #[derive(Debug)]
 pub struct CandidateLibrary {
-    key: (usize, u64),
+    key: (usize, u64, TablePrep),
     /// The per-topology states, in standard-library order.
     pub topos: Vec<TopoState>,
 }
@@ -522,28 +463,17 @@ impl CandidateLibrary {
             })
             .collect();
         CandidateLibrary {
-            key: (cores, capacity.to_bits()),
+            key: (cores, capacity.to_bits(), prep),
             topos,
         }
-    }
-
-    /// Whether this library's route tables were prepared exactly as a
-    /// request asking for `prep` would prepare them. `Auto` and an
-    /// explicit variant share cache entries whenever they resolve to
-    /// the same concrete preparation per topology (e.g. `auto` and
-    /// `eager` on a small library), while distinct resolved variants
-    /// never reuse each other's tables — a library advertising eager
-    /// dense state must actually hold it.
-    fn serves_prep(&self, prep: TablePrep) -> bool {
-        self.topos.iter().all(|tc| {
-            tc.table.prep() == prep.resolve(tc.graph.kind(), tc.graph.mappable_nodes().len())
-        })
     }
 }
 
 /// An LRU cache of [`CandidateLibrary`]s keyed by `(core count, link
-/// capacity)` — the warm heart of the serve daemon, and the same
-/// structure the batch engine keeps per worker.
+/// capacity, table preparation)` — the warm heart of the serve daemon,
+/// and the same structure the batch engine keeps per worker. The key
+/// holds the *requested* preparation, so libraries built under
+/// different requested preparations never share an entry.
 ///
 /// Single-threaded callers use [`LruLibraryCache::with_library`]; the
 /// daemon's workers share one cache behind a `Mutex` and use
@@ -582,26 +512,18 @@ impl LruLibraryCache {
         self.misses
     }
 
-    /// Takes the library for `(cores, capacity)` out of the cache,
-    /// building it under `prep` if no compatible entry is resident —
-    /// compatible meaning every resident route table already carries
-    /// the preparation `prep` *resolves to* on its topology, so
-    /// spellings that resolve alike (`auto`/`eager` at seed sizes)
-    /// share one entry while distinct resolved variants coexist.
-    /// Returns the library, whether it was a hit, and the build time
-    /// in nanoseconds (0 on a hit).
+    /// Takes the library for `(cores, capacity, prep)` out of the
+    /// cache, building it under `prep` if none is resident. Returns the
+    /// library, whether it was a hit, and the build time in
+    /// nanoseconds (0 on a hit).
     pub fn checkout(
         &mut self,
         cores: usize,
         capacity: f64,
         prep: TablePrep,
     ) -> (CandidateLibrary, bool, u64) {
-        let key = (cores, capacity.to_bits());
-        if let Some(i) = self
-            .entries
-            .iter()
-            .position(|e| e.key == key && e.serves_prep(prep))
-        {
+        let key = (cores, capacity.to_bits(), prep);
+        if let Some(i) = self.entries.iter().position(|e| e.key == key) {
             self.hits += 1;
             (self.entries.remove(i), true, 0)
         } else {
@@ -615,20 +537,12 @@ impl LruLibraryCache {
     }
 
     /// Returns a checked-out library to the front of the LRU order,
-    /// evicting from the back beyond capacity. If an identically
-    /// prepared library for the key was re-built by a concurrent
-    /// checkout and already checked back in, the returned copy is
-    /// dropped (the resident one is equally warm). Libraries for the
-    /// same key under *different* resolved preparations coexist.
+    /// evicting from the back beyond capacity. If a library for the key
+    /// was re-built by a concurrent checkout and already checked back
+    /// in, the returned copy is dropped (the resident one is equally
+    /// warm).
     pub fn checkin(&mut self, library: CandidateLibrary) {
-        if self.entries.iter().any(|e| {
-            e.key == library.key
-                && e.topos.len() == library.topos.len()
-                && e.topos
-                    .iter()
-                    .zip(&library.topos)
-                    .all(|(a, b)| a.table.prep() == b.table.prep())
-        }) {
+        if self.entries.iter().any(|e| e.key == library.key) {
             return;
         }
         self.entries.insert(0, library);
@@ -693,7 +607,7 @@ pub fn execute(
     if let (Some(probe), Some(_)) = (&req.probe, exploration.best) {
         // lint:allow(wall-clock): probe-latency instrumentation feeding the report; no logic branches on time
         let probe_start = Instant::now();
-        body.push_str(&probe_fields(probe, req.engine, &exploration, topos));
+        body.push_str(&probe_fields(probe, &exploration, topos));
         probe_nanos = nanos_since(probe_start);
     }
     let (feasible, evaluated) = feasible_and_evaluated(&exploration);
@@ -783,31 +697,23 @@ pub(crate) fn report_body(
 /// Renders a probe's report fields: the winner's `"sim"` object and,
 /// for `top_k > 1`, the `"probes"` array. Each probed topology's plan is
 /// compiled once from the table the mapper used and reused by every
-/// later request probing it (the reference engine never takes a plan).
-fn probe_fields(
-    probe: &SimProbe,
-    engine: SimEngine,
-    exploration: &Exploration,
-    topos: &mut [TopoState],
-) -> String {
-    let config = SimConfig {
-        engine,
-        ..SimConfig::default()
-    };
+/// later request probing it.
+fn probe_fields(probe: &SimProbe, exploration: &Exploration, topos: &mut [TopoState]) -> String {
+    let config = SimConfig::default();
     let probed: Vec<(usize, LatencyStats)> = exploration
         .ranked()
         .into_iter()
         .take(probe.top_k)
         .map(|cand| {
             let tc = &mut topos[cand];
-            let mut builder = SimSession::builder(&tc.graph).config(config);
-            if engine != SimEngine::Reference {
-                let plan = tc.plan.get_or_insert_with(|| {
-                    Arc::new(RoutePlan::synthetic(&tc.graph, &mut tc.table, &config))
-                });
-                builder = builder.plan(plan.clone());
-            }
-            let stats = builder.build().run_synthetic(&probe.pattern, probe.rate);
+            let plan = tc.plan.get_or_insert_with(|| {
+                Arc::new(RoutePlan::synthetic(&tc.graph, &mut tc.table, &config))
+            });
+            let stats = SimSession::builder(&tc.graph)
+                .config(config)
+                .plan(plan.clone())
+                .build()
+                .run_synthetic(&probe.pattern, probe.rate);
             (cand, stats)
         })
         .collect();
@@ -840,7 +746,7 @@ fn probe_fields(
                  \"analytical_latency_cycles\":{},\"latency_drift\":{}}}",
                 i + 1,
                 json_string(c.kind.name()),
-                json_string(engine.resolve(probe.rate).name()),
+                json_string(config.engine.resolve(probe.rate).name()),
                 stats_json_fields(stats),
                 json_number(analytical),
                 json_number(drift),
@@ -865,8 +771,8 @@ pub struct RequestOutcome {
 }
 
 /// A socketless request executor over a warm cache — the one-shot CLI
-/// path, the replay verifier, the throughput bench and (shared by its
-/// worker threads) the serve daemon all run requests through this.
+/// path, the replay verifier and (shared by its worker threads) the
+/// serve daemon all run requests through this.
 #[derive(Debug)]
 pub struct RequestRunner {
     cache: Mutex<LruLibraryCache>,
@@ -932,9 +838,6 @@ mod tests {
         req.routing = RoutingFunction::DimensionOrdered;
         req.capacity = 750.0;
         req.constraints = ConstraintMode::Relaxed;
-        req.swap = SwapStrategy::DeltaPruned;
-        req.engine = SimEngine::EventDriven;
-        req.table_prep = TablePrep::ClosedForm;
         req.probe = Some(SimProbe {
             pattern: TrafficPattern::Transpose,
             rate: 0.125,
@@ -971,11 +874,20 @@ mod tests {
         )
         .unwrap_err();
         assert!(err.contains("uniform"), "error lists patterns: {err}");
-        let err = ExploreRequest::from_json("{\"app\":\"vopd\",\"engine\":\"warp\"}").unwrap_err();
-        assert!(err.contains("auto, flat, event, reference"), "{err}");
-        let err =
-            ExploreRequest::from_json("{\"app\":\"vopd\",\"table_prep\":\"dense\"}").unwrap_err();
-        assert!(err.contains("auto, eager, lazy, closed-form"), "{err}");
+        // The pattern is one name: it cannot smuggle in a rate.
+        let err = ExploreRequest::from_json(
+            "{\"app\":\"vopd\",\"probe\":{\"pattern\":\"uniform 0.2\",\"rate\":3}}",
+        )
+        .unwrap_err();
+        assert!(err.starts_with("unknown pattern 'uniform 0.2'"), "{err}");
+        // The fields that chose how to compute, not what to map, are
+        // gone: each is refused by name, whatever its value.
+        for field in ["swap", "engine", "table_prep"] {
+            let err =
+                ExploreRequest::from_json(&format!("{{\"app\":\"vopd\",\"{field}\":\"auto\"}}"))
+                    .unwrap_err();
+            assert_eq!(err, format!("unknown request field '{field}'"));
+        }
         let err = ExploreRequest::from_json(
             "{\"app\":\"vopd\",\"probe\":{\"pattern\":\"uniform\",\"rate\":0.1,\"top_k\":0}}",
         )
@@ -1064,26 +976,28 @@ mod tests {
     }
 
     #[test]
-    fn cache_distinguishes_table_preps_only_when_resolved_differently() {
+    fn cache_distinguishes_table_preps_by_request() {
         let mut cache = LruLibraryCache::new(4);
-        // 6 cores is far below the eager threshold: `auto` resolves to
-        // `eager`, so the two spellings share one entry.
-        cache.with_library(6, 500.0, TablePrep::Auto, |_| ());
-        cache.with_library(6, 500.0, TablePrep::Eager, |_| ());
-        assert_eq!(cache.hits(), 1);
-        assert_eq!(cache.misses(), 1);
-        // An explicit lazy request must not reuse the eager tables...
-        cache.with_library(6, 500.0, TablePrep::Lazy, |topos| {
-            for tc in topos {
-                assert_eq!(tc.table.prep(), TablePrep::Lazy);
-            }
-        });
-        assert_eq!(cache.misses(), 2);
-        // ...and both resolved variants stay resident side by side.
-        cache.with_library(6, 500.0, TablePrep::Eager, |_| ());
-        cache.with_library(6, 500.0, TablePrep::Lazy, |_| ());
+        // Different requested preparations never alias, even where they
+        // resolve alike: at 6 cores `Auto` resolves to eager tables, yet
+        // an explicit `Eager` request builds its own library.
+        let preps = [TablePrep::Auto, TablePrep::Eager, TablePrep::Lazy];
+        for prep in preps {
+            cache.with_library(6, 500.0, prep, |topos| {
+                for tc in topos {
+                    let mappable = tc.graph.mappable_nodes().len();
+                    assert_eq!(tc.table.prep(), prep.resolve(tc.graph.kind(), mappable));
+                }
+            });
+        }
+        assert_eq!(cache.hits(), 0);
+        assert_eq!(cache.misses(), 3);
+        // Each requested preparation then serves its own repeat warm.
+        for prep in preps {
+            cache.with_library(6, 500.0, prep, |_| ());
+        }
         assert_eq!(cache.hits(), 3);
-        assert_eq!(cache.misses(), 2);
+        assert_eq!(cache.misses(), 3);
     }
 
     #[test]
@@ -1108,7 +1022,6 @@ mod tests {
     #[test]
     fn top_k_probes_append_per_candidate_drift() {
         let mut req = dsp_request();
-        req.engine = SimEngine::EventDriven;
         // 99 candidates requested, clamped to the feasible count.
         req.probe = Some(SimProbe::parse("uniform 0.05 99").unwrap());
         let mut runner = RequestRunner::new(2);

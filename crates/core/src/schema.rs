@@ -24,8 +24,9 @@ pub const BATCH_SCHEMA: &str = "sunmap-batch/1";
 /// Serve daemon frame envelopes (both directions).
 pub const SERVE_SCHEMA: &str = "sunmap-serve/1";
 
-/// Append-only serve request-replay log lines.
-pub const SERVE_LOG_SCHEMA: &str = "sunmap-serve-log/1";
+/// Append-only serve request-replay log lines. Version 2 logs requests
+/// without the `swap`, `engine` and `table_prep` fields.
+pub const SERVE_LOG_SCHEMA: &str = "sunmap-serve-log/2";
 
 /// Serve metrics snapshots (`stats` frames and the shutdown dump).
 pub const SERVE_METRICS_SCHEMA: &str = "sunmap-serve-metrics/1";

@@ -31,7 +31,7 @@
 //! dumped by the CLI) on shutdown.
 //!
 //! When configured with a log path the daemon appends one line per
-//! explore request (schema `sunmap-serve-log/1`); [`verify_replay`]
+//! explore request (schema `sunmap-serve-log/2`); [`verify_replay`]
 //! re-runs every logged request through the one-shot
 //! [`RequestRunner`] and fails unless each reproduces its logged
 //! report byte-for-byte.
@@ -620,6 +620,16 @@ mod tests {
         assert!(
             verify_replay(&log_path, 2).is_err(),
             "tampered log must not verify"
+        );
+
+        // A version-1 line, whose request still carried `swap`, `engine`
+        // and `table_prep`, is refused by its schema.
+        let v1 = "{\"schema\":\"sunmap-serve-log/1\",\"seq\":0,\"request\":{\"app\":\"dsp\",\
+                  \"swap\":\"auto\",\"engine\":\"auto\",\"table_prep\":\"auto\"},\"report\":{}}\n";
+        std::fs::write(&log_path, v1).unwrap();
+        assert_eq!(
+            verify_replay(&log_path, 2).unwrap_err(),
+            "log line 1 has schema Some(\"sunmap-serve-log/1\"), expected sunmap-serve-log/2"
         );
         let _ = std::fs::remove_file(&log_path);
     }

@@ -130,7 +130,9 @@ const BANDWIDTH_TOLERANCE: f64 = 1.0 + 1e-9;
 
 /// How the mapper's phase-3 sweep scores candidate swaps. There is one
 /// sweep ([`EvalEngine::sweep`]); the strategy only picks its per-pair
-/// scorer.
+/// scorer. No user surface names a strategy: every surface runs `Auto`,
+/// and tests force a scorer through
+/// [`MapperConfig::swap_strategy`](crate::MapperConfig::swap_strategy).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum SwapStrategy {
     /// [`SwapStrategy::Exhaustive`] up to
@@ -171,9 +173,10 @@ impl SwapStrategy {
 ///
 /// Every variant is proven bit-identical to [`TablePrep::Eager`] by the
 /// `table_prep_equivalence` suite; they differ only in *when* (and
-/// whether) each pair's state is computed. Mirrors [`SwapStrategy`] /
-/// the simulator's engine knob: `Auto` resolves per topology through
-/// [`TablePrep::resolve`].
+/// whether) each pair's state is computed. The code chooses: `Auto`
+/// resolves per topology through [`TablePrep::resolve`], no user
+/// surface names a preparation, and the explicit variants are for the
+/// equivalence tests and the `perfbench` benchmark.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum TablePrep {
     /// [`TablePrep::Eager`] up to [`TablePrep::EAGER_THRESHOLD`]
@@ -216,28 +219,6 @@ impl TablePrep {
             }
             TablePrep::Auto | TablePrep::ClosedForm => TablePrep::Lazy,
             other => other,
-        }
-    }
-
-    /// Parses the CLI/manifest spelling (`auto`, `eager`, `lazy`,
-    /// `closed-form`).
-    pub fn parse(s: &str) -> Option<TablePrep> {
-        match s {
-            "auto" => Some(TablePrep::Auto),
-            "eager" => Some(TablePrep::Eager),
-            "lazy" => Some(TablePrep::Lazy),
-            "closed-form" => Some(TablePrep::ClosedForm),
-            _ => None,
-        }
-    }
-
-    /// The canonical spelling [`TablePrep::parse`] accepts.
-    pub fn name(self) -> &'static str {
-        match self {
-            TablePrep::Auto => "auto",
-            TablePrep::Eager => "eager",
-            TablePrep::Lazy => "lazy",
-            TablePrep::ClosedForm => "closed-form",
         }
     }
 }

@@ -130,9 +130,26 @@ pub struct CostReport {
 
 impl CostReport {
     /// Whether this mapping satisfies the enforced constraints
-    /// (paper Fig. 5 step 8 gate).
+    /// (paper Fig. 5 step 8 gate) and every metric is finite. A demand
+    /// or core area near `f64::MAX` parses, but the cost sums over it
+    /// overflow; a report that cannot state its cost is not a design.
     pub fn feasible(&self) -> bool {
-        (self.bandwidth_ok || !self.bandwidth_enforced) && self.area_ok
+        let metrics = [
+            self.avg_hops,
+            self.mean_hops,
+            self.design_area,
+            self.floorplan_area,
+            self.switch_area,
+            self.power_mw,
+            self.switch_power_mw,
+            self.link_power_mw,
+            self.max_link_load,
+            self.avg_link_length_mm,
+            self.chip_aspect,
+        ];
+        (self.bandwidth_ok || !self.bandwidth_enforced)
+            && self.area_ok
+            && metrics.iter().all(|m| m.is_finite())
     }
 
     /// Scalar cost under an objective; lower is better. Infeasible
@@ -213,6 +230,28 @@ mod tests {
         assert!(r.feasible(), "relaxed bandwidth ignores overload");
         r.area_ok = false;
         assert!(!r.feasible(), "area violations always matter");
+        // A metric that overflowed (or is NaN) makes any report
+        // infeasible, whatever the constraints say.
+        for overflow in [f64::INFINITY, f64::NAN] {
+            for metric in 0..11 {
+                let mut r = report();
+                r.bandwidth_enforced = false;
+                *[
+                    &mut r.avg_hops,
+                    &mut r.mean_hops,
+                    &mut r.design_area,
+                    &mut r.floorplan_area,
+                    &mut r.switch_area,
+                    &mut r.power_mw,
+                    &mut r.switch_power_mw,
+                    &mut r.link_power_mw,
+                    &mut r.max_link_load,
+                    &mut r.avg_link_length_mm,
+                    &mut r.chip_aspect,
+                ][metric] = overflow;
+                assert!(!r.feasible(), "metric {metric} = {overflow}");
+            }
+        }
     }
 
     #[test]

@@ -459,3 +459,51 @@ fn delta_pruned_matches_exhaustive_on_infeasible_64_core_synthetic_mesh() {
         );
     }
 }
+
+/// The two overflow inputs of the feasibility gate: one demand, or two
+/// core areas, near `f64::MAX` overflow the cost sums, which makes
+/// every report infeasible (`CostReport::feasible` needs finite
+/// metrics). On every topology and objective the delta scorer must
+/// settle on exactly the exhaustive scorer's least-infeasible report.
+#[test]
+fn delta_pruned_matches_exhaustive_when_costs_overflow() {
+    use sunmap_traffic::io::parse_app;
+
+    for (text, constraints) in [
+        (
+            "core a 1\ncore b 1\ntraffic a b 1e308\n",
+            Constraints::relaxed_bandwidth(),
+        ),
+        (
+            "core a 1e308\ncore b 1e308\ntraffic a b 1\n",
+            Constraints::default(),
+        ),
+    ] {
+        let app = parse_app(text).expect("overflow inputs parse");
+        for g in builders::standard_library(2, 500.0).expect("library builds") {
+            for objective in (0..4).map(objective) {
+                let run = |swap_strategy| {
+                    let config = MapperConfig {
+                        objective,
+                        constraints,
+                        swap_strategy,
+                        ..MapperConfig::default()
+                    };
+                    match Mapper::new(&g, &app, config).run() {
+                        Err(MappingError::NoFeasibleMapping(best)) => best,
+                        other => panic!(
+                            "{} {objective}: expected infeasible, got {other:?}",
+                            g.kind()
+                        ),
+                    }
+                };
+                assert_eq!(
+                    run(SwapStrategy::Exhaustive),
+                    run(SwapStrategy::DeltaPruned),
+                    "{} {objective}: least-infeasible reports diverged",
+                    g.kind()
+                );
+            }
+        }
+    }
+}

@@ -206,8 +206,8 @@ proptest! {
                 (Err(a), Err(b)) => prop_assert_eq!(a.to_string(), b.to_string()),
                 (a, b) => {
                     return Err(TestCaseError::fail(format!(
-                        "{}: outcome mismatch: eager ok={} vs ok={}",
-                        prep.name(), a.is_ok(), b.is_ok()
+                        "{:?}: outcome mismatch: eager ok={} vs ok={}",
+                        prep, a.is_ok(), b.is_ok()
                     )));
                 }
             }
@@ -251,20 +251,17 @@ fn scale_tiers_agree_with_eager_oracle() {
                     assert_eq!(
                         oracle.placement().assignment(),
                         run.placement().assignment(),
-                        "seed {seed} cores {cores} {routing} {}: placements diverged",
-                        prep.name()
+                        "seed {seed} cores {cores} {routing} {prep:?}: placements diverged"
                     );
                     assert_eq!(
                         oracle.report(),
                         run.report(),
-                        "seed {seed} cores {cores} {routing} {}: reports diverged",
-                        prep.name()
+                        "seed {seed} cores {cores} {routing} {prep:?}: reports diverged"
                     );
                     assert_eq!(
                         oracle.evaluated_candidates(),
                         run.evaluated_candidates(),
-                        "seed {seed} cores {cores} {routing} {}: counts diverged",
-                        prep.name()
+                        "seed {seed} cores {cores} {routing} {prep:?}: counts diverged"
                     );
                 }
             }

@@ -29,19 +29,21 @@ pub const SIM_PATH_CAP: usize = 8;
 /// seed — `tests/engine_equivalence.rs` checks this across topologies,
 /// patterns, rates and trace mode.
 ///
-/// `Auto` (the default), `Flat` and `EventDriven` all
-/// [`resolve`](SimEngine::resolve) to the event engine. `auto` and
-/// `flat` stay accepted spellings so CLI flags, batch manifests and
-/// request JSON written for the retired flat engine still parse,
-/// render and produce the same bytes.
+/// This is a library value only: no command-line flag, manifest
+/// directive or request field selects an engine, and every surface
+/// simulates on [`SimConfig::default`]. Tests reach the oracle by
+/// setting [`SimConfig::engine`]. `Auto` (the default), `Flat` and
+/// `EventDriven` all [`resolve`](SimEngine::resolve) to the event
+/// engine; `Auto`, `Flat` and [`SimEngine::AUTO_EVENT_MAX_LOAD`] remain
+/// only because the `perfbench` benchmark reads them.
 ///
 /// [`LatencyStats`]: crate::LatencyStats
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Hash)]
 pub enum SimEngine {
-    /// The default spelling; runs the event engine.
+    /// The default; runs the event engine.
     #[default]
     Auto,
-    /// The retired flat engine's spelling; runs the event engine.
+    /// The retired flat engine; runs the event engine.
     Flat,
     /// The event-driven active-set engine.
     EventDriven,
@@ -51,7 +53,7 @@ pub enum SimEngine {
 
 impl SimEngine {
     /// An offered load (flits/cycle/terminal) that selects nothing:
-    /// every spelling but `reference` runs the event engine at any
+    /// every variant but `Reference` runs the event engine at any
     /// load. It only marks where `perfbench`'s sim-ladder splits its
     /// traced counts into low and high load.
     pub const AUTO_EVENT_MAX_LOAD: f64 = 0.15;
@@ -66,18 +68,8 @@ impl SimEngine {
         }
     }
 
-    /// Parses a CLI / manifest / request spelling.
-    pub fn parse(s: &str) -> Option<SimEngine> {
-        match s {
-            "auto" => Some(SimEngine::Auto),
-            "flat" => Some(SimEngine::Flat),
-            "event" => Some(SimEngine::EventDriven),
-            "reference" => Some(SimEngine::Reference),
-            _ => None,
-        }
-    }
-
-    /// The canonical spelling accepted by [`SimEngine::parse`].
+    /// The engine's name, as a top-k probe row's `"engine"` field
+    /// reports the engine that ran.
     pub fn name(self) -> &'static str {
         match self {
             SimEngine::Auto => "auto",

@@ -1,45 +1,19 @@
 #!/bin/sh
-# Smoke-test the large-topology mapping path through the release
-# binary and test suite (ISSUE 9):
+# Smoke-test the large-topology mapping path in release: the pinned
+# 256/1024-core scale goldens and the 4096-core mesh wall-clock smoke
+# (SUNMAP_SCALE_SMOKE=1 opts the 4096 run in; it is skipped in the debug
+# tier-1 suite, where the wall-clock bound is meaningless).
 #
-#   1. byte-compare a full-library 64-core explore report across every
-#      route-table preparation strategy (the report must be invariant
-#      under the knob);
-#   2. run the pinned 256/1024-core scale goldens and the 4096-core
-#      mesh wall-clock smoke in release (SUNMAP_SCALE_SMOKE=1 opts the
-#      4096 run in; it is skipped in the debug tier-1 suite).
+# That every route-table preparation maps to the same bytes is proven
+# by crates/mapping/tests/table_prep_equivalence.rs (its 64- and
+# 100-core tiers, and every topology and routing function in its
+# property tests); no user surface names a preparation.
 #
-# Usage: scripts/scale_smoke.sh <path-to-sunmap-binary> <scratch-dir>
+# Usage: scripts/scale_smoke.sh
 set -eu
 
-SUNMAP=${1:?usage: scale_smoke.sh <sunmap-binary> <scratch-dir>}
-DIR=${2:?usage: scale_smoke.sh <sunmap-binary> <scratch-dir>}
-
-rm -rf "$DIR"
-mkdir -p "$DIR"
-
-fail() {
-    echo "scale-smoke: $1" >&2
-    exit 1
-}
-
-# One 64-core synthetic workload through the whole library, once per
-# preparation strategy. The report line embeds no preparation state,
-# so all four must be byte-identical.
-"$SUNMAP" explore synth:seed=7,cores=64 --json > "$DIR/auto.json"
-for prep in eager lazy closed-form; do
-    "$SUNMAP" explore synth:seed=7,cores=64 --json --table-prep "$prep" \
-        > "$DIR/$prep.json"
-    cmp "$DIR/auto.json" "$DIR/$prep.json" \
-        || fail "--table-prep $prep report differs from auto"
-done
-echo "scale-smoke: 64-core reports byte-identical across auto/eager/lazy/closed-form"
-
-# The pinned scale goldens (256- and 1024-core MinDelay maps) plus the
-# 4096-core mesh smoke, in release where the wall-clock bound is
-# meaningful.
 SUNMAP_SCALE_SMOKE=1 cargo test --locked --release -q \
     --test golden_cost_fixtures -- --nocapture scale_tier mesh_4096 \
-    || fail "release scale goldens failed"
+    || { echo "scale-smoke: release scale goldens failed" >&2; exit 1; }
 
-echo "scale-smoke: ok (byte-identical preps, 1024-core goldens, 4096-core mesh)"
+echo "scale-smoke: ok (1024-core goldens, 4096-core mesh)"
