@@ -99,9 +99,9 @@ sim-equiv:
 		--test engine_equivalence -- --nocapture
 
 ## Deep-run the route-table preparation equivalence suite (lazy ==
-## closed-form == eager, bit for bit). TABLE_EQUIV_CASES=N soaks N
-## extra synthetic seeds per scale tier on top of the committed ones
-## (CI runs the default via `make test`).
+## eager, bit for bit, with closed-form and BFS hop distances).
+## TABLE_EQUIV_CASES=N soaks N extra synthetic seeds per scale tier on
+## top of the committed ones (CI runs the default via `make test`).
 TABLE_EQUIV_CASES ?= 4
 table-equiv:
 	TABLE_EQUIV_CASES=$(TABLE_EQUIV_CASES) $(CARGO) test --locked -p sunmap-mapping \

@@ -43,6 +43,7 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::mpsc;
 use std::sync::Arc;
 
+use crate::json::Json;
 use crate::request::{
     execute, parse_objective, parse_routing, ConstraintMode, ExploreRequest, LruLibraryCache,
     SimProbe,
@@ -363,31 +364,15 @@ pub fn run_batch(jobs: &[BatchJob], workers: usize, mut on_line: impl FnMut(usiz
     });
 }
 
-/// Extracts the `"job"` field of a batch JSONL line (the first string
-/// value after `"job":`), decoding exactly the escapes
-/// [`json_string`] emits so an id containing a quote, backslash or
-/// control character round-trips for the resume comparison.
+/// The top-level `"job"` string of a batch JSONL line, read with the
+/// crate's JSON reader: `None` unless the whole line is a JSON object
+/// with a string `job`, so a line cut short never passes for a result.
 pub fn job_id_of_line(line: &str) -> Option<String> {
-    let rest = line.split_once("\"job\":\"")?.1;
-    let mut id = String::new();
-    let mut chars = rest.chars();
-    while let Some(c) = chars.next() {
-        match c {
-            '"' => return Some(id),
-            '\\' => id.push(match chars.next()? {
-                'n' => '\n',
-                'r' => '\r',
-                't' => '\t',
-                'u' => {
-                    let hex: String = chars.by_ref().take(4).collect();
-                    char::from_u32(u32::from_str_radix(&hex, 16).ok()?)?
-                }
-                other => other, // \" \\ \/
-            }),
-            c => id.push(c),
-        }
-    }
-    None
+    Json::parse(line)
+        .ok()?
+        .get("job")?
+        .as_str()
+        .map(str::to_string)
 }
 
 /// How a `--resume` run picks up from an interrupted output file.
@@ -742,6 +727,15 @@ capacity 1000
         // A complete line with no job id at all.
         let err = plan_resume(&jobs, "{\"schema\":\"sunmap-batch/1\"}\n").unwrap_err();
         assert!(err.contains("no job id"), "{err}");
+        // A line cut right after its job id that still ends in a
+        // newline is not a result: it is refused, not kept for good.
+        let head = format!(
+            "{{\"schema\":\"{BATCH_SCHEMA}\",\"job\":{},",
+            json_string(&jobs[0].id)
+        );
+        assert!(full.starts_with(&head), "{full}");
+        let err = plan_resume(&jobs, &format!("{head}\n")).unwrap_err();
+        assert!(err.contains("line 1 carries no job id"), "{err}");
         // More lines than the manifest has jobs.
         let mut oversized = full.clone();
         oversized.push_str(&full[..full.find('\n').unwrap() + 1]);

@@ -51,8 +51,10 @@ pub fn write_frame<W: Write>(writer: &mut W, payload: &str) -> io::Result<()> {
 ///
 /// # Errors
 ///
-/// Truncated frames, oversized lengths and non-UTF-8 payloads are
-/// [`io::ErrorKind::InvalidData`]; socket errors propagate.
+/// A stream that ends inside a frame, in its length prefix or its
+/// payload, is [`io::ErrorKind::UnexpectedEof`]; oversized lengths and
+/// non-UTF-8 payloads are [`io::ErrorKind::InvalidData`]; socket errors
+/// propagate.
 pub fn read_frame<R: Read>(reader: &mut R) -> io::Result<Option<String>> {
     let mut prefix = [0u8; 4];
     match reader.read(&mut prefix) {
@@ -87,8 +89,10 @@ pub fn read_frame<R: Read>(reader: &mut R) -> io::Result<Option<String>> {
 ///
 /// # Errors
 ///
-/// Truncated frames, oversized lengths and non-UTF-8 payloads are
-/// [`io::ErrorKind::InvalidData`]; socket errors propagate.
+/// As for [`read_frame`]: a stream that ends inside a frame is
+/// [`io::ErrorKind::UnexpectedEof`]; oversized lengths and non-UTF-8
+/// payloads are [`io::ErrorKind::InvalidData`]; socket errors
+/// propagate.
 pub fn read_frame_draining(
     stream: &mut TcpStream,
     drain: &AtomicBool,
@@ -196,11 +200,19 @@ mod tests {
     }
 
     #[test]
-    fn truncated_and_non_utf8_frames_are_invalid_data() {
+    fn truncated_frames_are_unexpected_eof_and_non_utf8_is_invalid_data() {
         let mut buf = Vec::new();
         write_frame(&mut buf, "hello").unwrap();
-        let mut cursor = &buf[..buf.len() - 2];
-        assert!(read_frame(&mut cursor).is_err(), "truncated payload");
+        // Cut inside the length prefix, then two bytes short of the
+        // payload's end.
+        for cut in [2, buf.len() - 2] {
+            let mut cursor = &buf[..cut];
+            assert_eq!(
+                read_frame(&mut cursor).unwrap_err().kind(),
+                io::ErrorKind::UnexpectedEof,
+                "cut at byte {cut}"
+            );
+        }
         let mut bad = Vec::new();
         bad.extend_from_slice(&2u32.to_be_bytes());
         bad.extend_from_slice(&[0xff, 0xfe]);

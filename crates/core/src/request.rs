@@ -259,8 +259,8 @@ pub struct ExploreRequest {
     pub swap: SwapStrategy,
     /// Route-table preparation, which also keys the cached library.
     /// Library only: every surface leaves it [`TablePrep::Auto`] (eager
-    /// on small topologies, lazy/closed-form at scale; reports are
-    /// bit-identical either way), and the JSON form does not carry it.
+    /// on small topologies, lazy at scale; reports are bit-identical
+    /// either way), and the JSON form does not carry it.
     pub table_prep: TablePrep,
     /// Winner simulation probe, if any.
     pub probe: Option<SimProbe>,
@@ -339,8 +339,9 @@ impl ExploreRequest {
 
     /// Parses the JSON form. `app` is required; every other field is
     /// optional and falls back to its default (`probe` may be `null`).
-    /// Unknown fields are rejected — a typo'd field silently meaning
-    /// "default" is the failure mode this type exists to delete.
+    /// Unknown fields are rejected, in the probe object too — a typo'd
+    /// field silently meaning "default" is the failure mode this type
+    /// exists to delete.
     ///
     /// # Errors
     ///
@@ -392,6 +393,13 @@ impl ExploreRequest {
         match fields.get("probe") {
             None | Some(Json::Null) => {}
             Some(probe) => {
+                if let Json::Object(sub) = probe {
+                    for key in sub.keys() {
+                        if !matches!(key.as_str(), "pattern" | "rate" | "top_k") {
+                            return Err(format!("unknown probe field '{key}'"));
+                        }
+                    }
+                }
                 let pattern = probe
                     .get("pattern")
                     .and_then(Json::as_str)
@@ -427,7 +435,8 @@ impl ExploreRequest {
 /// Per-topology route state shared across every request mapping onto
 /// that topology: the graph, its [`RouteTable`] (reused via
 /// [`sunmap_mapping::Mapper::with_route_table`]) and, lazily, the
-/// simulation [`RoutePlan`] compiled from that same table.
+/// simulation [`RoutePlan`], which the simulator compiles itself,
+/// borrowing only the table's adjacency matrix and terminal order.
 #[derive(Debug)]
 pub struct TopoState {
     /// The candidate topology.
@@ -696,8 +705,9 @@ pub(crate) fn report_body(
 
 /// Renders a probe's report fields: the winner's `"sim"` object and,
 /// for `top_k > 1`, the `"probes"` array. Each probed topology's plan is
-/// compiled once from the table the mapper used and reused by every
-/// later request probing it.
+/// compiled once by the simulator, which enumerates its own routes and
+/// borrows only the adjacency matrix and terminal order of the table
+/// the mapper used, and reused by every later request probing it.
 fn probe_fields(probe: &SimProbe, exploration: &Exploration, topos: &mut [TopoState]) -> String {
     let config = SimConfig::default();
     let probed: Vec<(usize, LatencyStats)> = exploration
@@ -707,7 +717,7 @@ fn probe_fields(probe: &SimProbe, exploration: &Exploration, topos: &mut [TopoSt
         .map(|cand| {
             let tc = &mut topos[cand];
             let plan = tc.plan.get_or_insert_with(|| {
-                Arc::new(RoutePlan::synthetic(&tc.graph, &mut tc.table, &config))
+                Arc::new(RoutePlan::synthetic(&tc.graph, &tc.table, &config))
             });
             let stats = SimSession::builder(&tc.graph)
                 .config(config)
@@ -893,6 +903,14 @@ mod tests {
         )
         .unwrap_err();
         assert!(err.contains("top_k"), "{err}");
+        // A misspelt probe subfield is refused by name, not read as
+        // "use the default".
+        for (field, value) in [("top-k", "3"), ("ratee", "9")] {
+            let probe = format!("{{\"pattern\":\"uniform\",\"rate\":0.05,\"{field}\":{value}}}");
+            let err = ExploreRequest::from_json(&format!("{{\"app\":\"dsp\",\"probe\":{probe}}}"))
+                .unwrap_err();
+            assert_eq!(err, format!("unknown probe field '{field}'"));
+        }
     }
 
     #[test]
@@ -986,7 +1004,7 @@ mod tests {
             cache.with_library(6, 500.0, prep, |topos| {
                 for tc in topos {
                     let mappable = tc.graph.mappable_nodes().len();
-                    assert_eq!(tc.table.prep(), prep.resolve(tc.graph.kind(), mappable));
+                    assert_eq!(tc.table.prep(), prep.resolve(mappable));
                 }
             });
         }

@@ -4,7 +4,9 @@
 //! lines before that one parse); a manifest that parses expands into
 //! exactly its grid of jobs. Any request field soup parses or fails
 //! with an error naming a field, and whatever parses serialises to
-//! JSON that parses back to an equal request and the same bytes.
+//! JSON that parses back to an equal request and the same bytes. A
+//! misspelt probe subfield is refused by name, like a misspelt
+//! top-level field.
 
 use std::collections::BTreeSet;
 
@@ -95,6 +97,10 @@ const FIELDS: &[(&str, &[&str])] = &[
 /// Values of the wrong type (or out of range) for any field.
 const JUNK: &[&str] = &["0", "null", "true", "[]", "{}", "\"\""];
 
+/// Misspellings of the three probe subfields (`pattern`, `rate`,
+/// `top_k`), which `PROBES` plants next to valid ones.
+const MISSPELT: &[&str] = &["top-k", "ratee", "Pattern", "topK"];
+
 /// `probe` values, mostly objects with junk inside.
 const PROBES: &[&str] = &[
     "null",
@@ -115,6 +121,10 @@ const PROBES: &[&str] = &[
     "{\"rate\":0.1}",
     "\"uniform 0.1\"",
     "[]",
+    "{\"pattern\":\"uniform\",\"rate\":0.05,\"top-k\":3}",
+    "{\"pattern\":\"uniform\",\"rate\":0.05,\"ratee\":9}",
+    "{\"Pattern\":\"uniform\",\"rate\":0.1}",
+    "{\"pattern\":\"uniform\",\"rate\":0.1,\"top_k\":2,\"topK\":2}",
 ];
 
 /// Documents that are JSON but not an object.
@@ -216,15 +226,28 @@ proptest! {
             pairs.push((key, JUNK.get(junk).copied().unwrap_or(values[v % values.len()])));
         }
         let not_object = NOT_OBJECTS.get(shape);
+        let object = |probe: Option<&str>| {
+            let body: Vec<String> = pairs
+                .iter()
+                .map(|&(k, v)| match (k, probe) {
+                    ("probe", Some(p)) => format!("\"{k}\":{p}"),
+                    _ => format!("\"{k}\":{v}"),
+                })
+                .collect();
+            format!("{{{}}}", body.join(","))
+        };
         let text = match not_object {
             Some(doc) => doc.to_string(),
-            None => {
-                let body: Vec<String> =
-                    pairs.iter().map(|(k, v)| format!("\"{k}\":{v}")).collect();
-                format!("{{{}}}", body.join(","))
-            }
+            None => object(None),
         };
         let keys: BTreeSet<&str> = pairs.iter().map(|(k, _)| *k).collect();
+        // The probe that counts is the last one: a later key wins.
+        let probe = pairs.iter().rev().find(|(k, _)| *k == "probe").map(|(_, v)| *v);
+        let misspelt: Vec<&str> = MISSPELT
+            .iter()
+            .copied()
+            .filter(|m| probe.is_some_and(|p| p.contains(&format!("\"{m}\""))))
+            .collect();
         let removed = ["engine", "objectiv", "swap", "table_prep"];
         let unknown = removed.iter().find(|k| keys.contains(*k));
         match ExploreRequest::from_json(&text) {
@@ -244,9 +267,21 @@ proptest! {
                         || (!keys.contains("app") && e.contains("'app'"));
                     prop_assert!(named, "{text}: {e} names no field");
                 }
+                // A misspelt probe subfield is refused by name, unless
+                // a field the parser reads before the probe fails
+                // first: the same request without its probe shows which.
+                if unknown.is_none() && !misspelt.is_empty() {
+                    let refused =
+                        misspelt.iter().any(|m| e == format!("unknown probe field '{m}'"));
+                    match ExploreRequest::from_json(&object(Some("null"))) {
+                        Ok(_) => prop_assert!(refused, "{text}: {e}"),
+                        Err(other) => prop_assert!(refused || e == other, "{text}: {e} vs {other}"),
+                    }
+                }
             }
             Ok(req) => {
                 prop_assert!(not_object.is_none() && unknown.is_none(), "{text} parsed");
+                prop_assert!(misspelt.is_empty(), "{text} parsed despite {misspelt:?}");
                 let json = req.to_json();
                 let again = ExploreRequest::from_json(&json);
                 prop_assert!(again.as_ref() == Ok(&req), "{text} -> {json} -> {again:?}");

@@ -87,7 +87,7 @@ use sunmap_power::{switch_power_from_energy, AreaPowerLibrary, SwitchConfig};
 use sunmap_topology::paths::{AllowedSet, DijkstraScratch};
 use sunmap_topology::{
     closed_form, dimension_order, paths, quadrant, AdjacencyMatrix, EdgeId, NodeId, NodeKind,
-    TopologyGraph, TopologyKind,
+    TopologyGraph,
 };
 use sunmap_traffic::{Commodity, CoreGraph};
 
@@ -171,35 +171,32 @@ impl SwapStrategy {
 /// How a [`RouteTable`] materialises its per-pair routing state
 /// (quadrant sets, enumerated path sets, hop distances).
 ///
-/// Every variant is proven bit-identical to [`TablePrep::Eager`] by the
-/// `table_prep_equivalence` suite; they differ only in *when* (and
+/// `Lazy` is proven bit-identical to [`TablePrep::Eager`] by the
+/// `table_prep_equivalence` suite; the two differ only in *when* (and
 /// whether) each pair's state is computed. The code chooses: `Auto`
 /// resolves per topology through [`TablePrep::resolve`], no user
 /// surface names a preparation, and the explicit variants are for the
-/// equivalence tests and the `perfbench` benchmark.
+/// equivalence tests.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum TablePrep {
     /// [`TablePrep::Eager`] up to [`TablePrep::EAGER_THRESHOLD`]
     /// mappable vertices (the regime where dense enumeration is cheap
-    /// and the whole table is touched anyway); above it,
-    /// [`TablePrep::ClosedForm`] when the topology has closed-form
-    /// distances, [`TablePrep::Lazy`] otherwise.
+    /// and the whole table is touched anyway), [`TablePrep::Lazy`]
+    /// above it.
     #[default]
     Auto,
-    /// Enumerate every pair's state up front — the original dense
-    /// preparation, kept as the oracle the other variants are checked
-    /// against.
+    /// Enumerate every pair's state up front, with hop distances by
+    /// one BFS per source: the original dense preparation, kept as the
+    /// oracle `Lazy` is checked against.
     Eager,
-    /// Hop distances by one BFS per source up front; per-pair quadrant
-    /// and path sets materialised on first use and memoised (only
-    /// commodities that exist — plus pairs touched by swap deltas —
-    /// ever pay for enumeration).
+    /// Per-pair quadrant and path sets materialised on first use and
+    /// memoised (only commodities that exist, plus pairs touched by
+    /// swap deltas, ever pay for enumeration). Hop distances come from
+    /// coordinate arithmetic (`sunmap_topology::closed_form`, no dense
+    /// `m × n` matrix) where the topology kind has a closed form, and
+    /// from one BFS per source up front otherwise (octagon, star,
+    /// custom).
     Lazy,
-    /// Like [`TablePrep::Lazy`], but hop distances come from coordinate
-    /// arithmetic (`sunmap_topology::closed_form`) — no BFS and no
-    /// dense `m × n` hop matrix. Falls back to `Lazy` on topologies
-    /// without a closed form (octagon, star, custom).
-    ClosedForm,
 }
 
 impl TablePrep {
@@ -208,36 +205,15 @@ impl TablePrep {
     /// and the 64-core bench tier keep their original tables.
     pub const EAGER_THRESHOLD: usize = 64;
 
-    /// The concrete preparation (never `Auto`) for a topology of `kind`
-    /// with `mappable` vertices. An explicit `ClosedForm` request on a
-    /// topology without closed-form distances degrades to `Lazy`.
-    pub fn resolve(self, kind: TopologyKind, mappable: usize) -> TablePrep {
+    /// The concrete preparation (never `Auto`) for a topology with
+    /// `mappable` vertices.
+    pub fn resolve(self, mappable: usize) -> TablePrep {
         match self {
             TablePrep::Auto if mappable <= Self::EAGER_THRESHOLD => TablePrep::Eager,
-            TablePrep::Auto | TablePrep::ClosedForm if closed_form::supported(kind) => {
-                TablePrep::ClosedForm
-            }
-            TablePrep::Auto | TablePrep::ClosedForm => TablePrep::Lazy,
+            TablePrep::Auto => TablePrep::Lazy,
             other => other,
         }
     }
-}
-
-/// FNV-1a hash of a graph's directed edge list, capacities included.
-fn edge_fingerprint(g: &TopologyGraph) -> u64 {
-    let mut hash: u64 = 0xCBF2_9CE4_8422_2325;
-    let mut mix = |word: u64| {
-        for byte in word.to_le_bytes() {
-            hash ^= u64::from(byte);
-            hash = hash.wrapping_mul(0x0000_0100_0000_01B3);
-        }
-    };
-    for (_, e) in g.edges() {
-        mix(e.src.index() as u64);
-        mix(e.dst.index() as u64);
-        mix(e.capacity.to_bits());
-    }
-    hash
 }
 
 /// One enumerated route with everything the accumulation loop needs
@@ -245,8 +221,6 @@ fn edge_fingerprint(g: &TopologyGraph) -> u64 {
 /// subset (for min-max splitting) and the switch vertices in traversal
 /// order (for traffic accumulation and hop counting).
 ///
-/// The simulator replays these routes flit by flit (see the
-/// `sunmap-sim` crate), which is why the edge sequence is public.
 /// `PartialEq` compares the full precomputed state — what the table
 /// equivalence suite asserts across preparation strategies.
 #[derive(Debug, Clone, PartialEq)]
@@ -254,16 +228,6 @@ pub struct CachedPath {
     edges: Vec<EdgeId>,
     net_edges: Vec<usize>,
     switch_nodes: Vec<NodeId>,
-}
-
-impl CachedPath {
-    /// The route as its directed-edge sequence, in traversal order.
-    /// The vertex sequence is recoverable through
-    /// [`TopologyGraph::edge`]: the source of the first edge, then each
-    /// edge's destination.
-    pub fn edges(&self) -> &[EdgeId] {
-        &self.edges
-    }
 }
 
 impl CachedPath {
@@ -396,7 +360,7 @@ enum HopStore {
 /// Contents:
 ///
 /// * all-pairs hop distances — one BFS per *source* instead of one per
-///   pair, or closed-form coordinate arithmetic (see [`TablePrep`]);
+///   pair, or closed-form coordinate arithmetic (see [`TablePrep::Lazy`]);
 /// * a dense `NodeId × NodeId → Option<EdgeId>` adjacency matrix
 ///   replacing linear `find_edge` scans;
 /// * memoized quadrant sets per mappable pair;
@@ -404,15 +368,15 @@ enum HopStore {
 ///   routes per pair, filled per routing function by
 ///   [`RouteTable::prepare`] — all pairs up front under
 ///   [`TablePrep::Eager`], per pair on first use otherwise.
+///
+/// The simulator's plan compiler borrows the adjacency matrix and the
+/// terminal order ([`RouteTable::mappable_nodes`]); every per-pair store
+/// is the mapper's.
 #[derive(Debug)]
 pub struct RouteTable {
-    kind: TopologyKind,
-    node_count: usize,
-    edge_count: usize,
-    /// FNV-1a over the full edge list (endpoints + capacity bits), so
-    /// [`RouteTable::matches`] rejects a graph that merely shares its
-    /// kind and counts with the table's graph.
-    edge_fingerprint: u64,
+    /// [`TopologyGraph::fingerprint`] of `graph`, kept for
+    /// [`RouteTable::matches`].
+    fingerprint: u64,
     /// Owned copy of the topology, so lazily materialised pairs can be
     /// computed at query time without threading the graph through
     /// every accessor.
@@ -428,13 +392,6 @@ pub struct RouteTable {
     do_paths: PairStore<Option<CachedPath>>,
     sm_paths: PairStore<Vec<CachedPath>>,
     sa_paths: PairStore<Vec<CachedPath>>,
-    /// Unrestricted all-shortest-path sets per pair for simulator
-    /// replay (no quadrant filter — the simulator routes adaptively
-    /// over every minimum path, paper §6.2), capped per pair.
-    sim_paths: PairStore<Vec<CachedPath>>,
-    /// The cap `sim_paths` was enumerated under; `usize::MAX` = not
-    /// prepared yet.
-    sim_cap: usize,
 }
 
 impl RouteTable {
@@ -455,8 +412,8 @@ impl RouteTable {
         for (i, n) in mappable.iter().enumerate() {
             midx[n.index()] = i as u32;
         }
-        let prep = prep.resolve(g.kind(), mappable.len());
-        let hop = if prep == TablePrep::ClosedForm {
+        let prep = prep.resolve(mappable.len());
+        let hop = if prep == TablePrep::Lazy && closed_form::supported(g.kind()) {
             HopStore::Closed
         } else {
             let mut hop = vec![UNREACHABLE_HOPS; mappable.len() * g.node_count()];
@@ -472,10 +429,7 @@ impl RouteTable {
             HopStore::Dense(hop)
         };
         RouteTable {
-            kind: g.kind(),
-            node_count: g.node_count(),
-            edge_count: g.edge_count(),
-            edge_fingerprint: edge_fingerprint(g),
+            fingerprint: g.fingerprint(),
             graph: g.clone(),
             prep,
             mappable,
@@ -486,8 +440,6 @@ impl RouteTable {
             do_paths: PairStore::Absent,
             sm_paths: PairStore::Absent,
             sa_paths: PairStore::Absent,
-            sim_paths: PairStore::Absent,
-            sim_cap: usize::MAX,
         }
     }
 
@@ -503,7 +455,7 @@ impl RouteTable {
         match &self.hop {
             HopStore::Dense(hop) => {
                 let i = self.midx[a.index()] as usize;
-                hop[i * self.node_count + b.index()]
+                hop[i * self.graph.node_count() + b.index()]
             }
             HopStore::Closed => closed_form::distance(&self.graph, a, b)
                 .expect("closed-form hop store queried for a pair without a closed form"),
@@ -518,9 +470,9 @@ impl RouteTable {
         (h != UNREACHABLE_HOPS).then_some(h)
     }
 
-    /// The dense adjacency matrix of the table's graph (equivalence
-    /// suite probe; identical across preparation strategies by
-    /// construction).
+    /// The dense adjacency matrix of the table's graph, identical
+    /// across preparation strategies by construction. The simulator's
+    /// plan compiler resolves its route windows through it.
     pub fn adjacency(&self) -> &AdjacencyMatrix {
         &self.adj
     }
@@ -610,61 +562,13 @@ impl RouteTable {
         })
     }
 
-    /// Whether [`RouteTable::prepare_sim_routes`] has run with `cap`.
-    pub fn sim_routes_ready(&self, cap: usize) -> bool {
-        self.sim_cap == cap
-    }
-
-    /// Fills the per-pair minimum-path sets the simulator replays:
-    /// every shortest path on the *full* graph (no quadrant
-    /// restriction), at most `cap` per pair, in the deterministic
-    /// enumeration order of [`paths::all_shortest_paths`]. Idempotent
-    /// for a given `cap`; re-preparing with a different `cap`
-    /// re-enumerates. Under lazy preparation this only installs the
-    /// (empty) memo store — pairs materialise as the simulator's plan
-    /// compiler asks for them.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the table was built for a different graph.
-    pub fn prepare_sim_routes(&mut self, g: &TopologyGraph, cap: usize) {
-        assert!(self.matches(g), "route table built for a different graph");
-        if self.sim_cap == cap {
-            return;
-        }
-        self.sim_cap = cap;
-        self.sim_paths = self.pair_store(|a, b| self.compute_sim(a, b, cap));
-    }
-
-    /// The simulator-replay route set between two mappable vertices
-    /// (empty = unreachable pair).
-    ///
-    /// # Panics
-    ///
-    /// Panics unless [`RouteTable::prepare_sim_routes`] has run.
-    pub fn sim_route_set(&self, a: NodeId, b: NodeId) -> PairRef<'_, Vec<CachedPath>> {
-        assert!(self.sim_cap != usize::MAX, "sim routes not prepared");
-        let cap = self.sim_cap;
-        Self::pair_entry(&self.sim_paths, self.pair(a, b), "sim routes", || {
-            self.compute_sim(a, b, cap)
-        })
-    }
-
-    /// The FNV-1a fingerprint of the edge list this table was built
-    /// for — the cache key long-running services (the serve daemon's
-    /// warm route cache) index hot tables by, without keeping the graph
-    /// around.
-    pub fn fingerprint(&self) -> u64 {
-        self.edge_fingerprint
-    }
-
     /// Whether this table was built for `g`: same kind, shape, and
     /// edge list (endpoints and capacities, order-sensitive).
     pub fn matches(&self, g: &TopologyGraph) -> bool {
-        self.kind == g.kind()
-            && self.node_count == g.node_count()
-            && self.edge_count == g.edge_count()
-            && self.edge_fingerprint == edge_fingerprint(g)
+        self.graph.kind() == g.kind()
+            && self.graph.node_count() == g.node_count()
+            && self.graph.edge_count() == g.edge_count()
+            && self.fingerprint == g.fingerprint()
     }
 
     /// Whether [`RouteTable::prepare`] has run for `routing`.
@@ -818,16 +722,6 @@ impl RouteTable {
         .into_iter()
         .map(|nodes| CachedPath::build(&self.graph, &self.adj, &nodes))
         .collect()
-    }
-
-    fn compute_sim(&self, a: NodeId, b: NodeId, cap: usize) -> Vec<CachedPath> {
-        if a == b {
-            return Vec::new();
-        }
-        paths::all_shortest_paths(&self.graph, a, b, None, cap)
-            .into_iter()
-            .map(|nodes| CachedPath::build(&self.graph, &self.adj, &nodes))
-            .collect()
     }
 }
 

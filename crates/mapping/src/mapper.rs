@@ -30,11 +30,11 @@ pub struct MapperConfig {
     /// differs.
     pub swap_strategy: SwapStrategy,
     /// How the per-topology [`RouteTable`] prepares its pair-wise
-    /// structures: eagerly over all m×m pairs, lazily on first touch,
-    /// or with closed-form hop distances on the regular library
-    /// topologies ([`TablePrep::Auto`] picks by topology size). Every
-    /// variant answers queries bit-identically; only preparation time
-    /// and memory differ. Ignored when a caller-owned table is attached
+    /// structures: eagerly over all m×m pairs, or lazily on first touch
+    /// with closed-form hop distances where the topology has them
+    /// ([`TablePrep::Auto`] picks by topology size). Both answer
+    /// queries bit-identically; only preparation time and memory
+    /// differ. Ignored when a caller-owned table is attached
     /// via [`Mapper::with_route_table`] (that table's own policy wins).
     pub table_prep: TablePrep,
 }

@@ -1,15 +1,18 @@
 //! Equivalence suite for route-table preparation strategies.
 //!
-//! The contract (see [`sunmap_mapping::TablePrep`]): `Lazy` and
-//! `ClosedForm` preparation change *when* per-pair routing state is
-//! computed, never *what* is computed. Every answer a [`RouteTable`]
-//! gives — hop distances, the adjacency matrix, quadrant vertex sets,
-//! enumerated path sets, simulator route sets — must be bit-identical
-//! to the eager dense preparation (the original implementation, kept
-//! as the oracle), and a full [`Mapper`] run under any preparation
-//! must produce the same placement, the same [`CostReport`]s and the
-//! same observed report sequence. Properties draw from every standard
-//! topology builder and all four routing functions.
+//! The contract (see [`sunmap_mapping::TablePrep`]): `Lazy`
+//! preparation changes *when* per-pair routing state is computed, never
+//! *what* is computed. Every answer a [`RouteTable`] gives — hop
+//! distances, the adjacency matrix, quadrant vertex sets, enumerated
+//! path sets — must be bit-identical to the eager dense preparation
+//! (the original implementation, kept as the oracle), and a full
+//! [`Mapper`] run under either preparation must produce the same
+//! placement, the same [`CostReport`]s and the same observed report
+//! sequence. Properties draw from every standard topology builder, the
+//! octagon, the star and a custom design, under all four routing
+//! functions. A lazy table takes its hop distances from two sources:
+//! closed-form arithmetic on the five standard topologies, one BFS per
+//! source on the other three; the generators cover both.
 //!
 //! Set `TABLE_EQUIV_CASES=<n>` to sweep `n` extra synthetic seeds per
 //! scale tier on top of the defaults (`make table-equiv` wires this
@@ -20,24 +23,51 @@ use sunmap_mapping::{
     Constraints, CostReport, Mapper, MapperConfig, MappingError, Objective, RouteTable,
     RoutingFunction, TablePrep,
 };
-use sunmap_topology::{builders, NodeId, TopologyGraph};
+use sunmap_topology::{builders, closed_form, CustomTopologyBuilder, NodeId, TopologyGraph};
 use sunmap_traffic::synthetic::SyntheticSpec;
 use sunmap_traffic::CoreGraph;
 
-/// The five standard topologies, sized for `cores` cores.
+/// How many topologies [`topology`] draws from.
+const TOPOLOGIES: usize = 8;
+
+/// Topology `idx` for `cores` cores: the five standard ones (closed-form
+/// hop distances), then three without a closed form — the octagon
+/// (always 8 switches), a star and the two-tier custom design.
 fn topology(idx: usize, cores: usize) -> TopologyGraph {
-    let mut library = builders::standard_library(cores, 500.0).expect("library builds");
-    library.swap_remove(idx % 5)
+    match idx % TOPOLOGIES {
+        5 => builders::octagon(500.0).expect("octagon builds"),
+        6 => builders::star(cores, 500.0).expect("star builds"),
+        7 => two_tier(cores),
+        i => {
+            let mut library = builders::standard_library(cores, 500.0).expect("library builds");
+            library.swap_remove(i)
+        }
+    }
+}
+
+/// The heterogeneous NoC of `examples/custom_topology.rs` (a 1 GB/s
+/// spine between two hubs, 500 MB/s spokes to two leaves), with
+/// `ports` core ports attached in the example's order: both hubs
+/// twice, then each leaf, repeating.
+fn two_tier(ports: usize) -> TopologyGraph {
+    let mut b = CustomTopologyBuilder::new("two-tier");
+    let leaf_a = b.add_switch_at(0, 0);
+    let hub_a = b.add_switch_at(0, 1);
+    let hub_b = b.add_switch_at(0, 2);
+    let leaf_b = b.add_switch_at(0, 3);
+    b.add_link(hub_a, hub_b, 1000.0).expect("spine");
+    b.add_link(leaf_a, hub_a, 500.0).expect("spoke");
+    b.add_link(hub_b, leaf_b, 500.0).expect("spoke");
+    let order = [hub_a, hub_a, hub_b, hub_b, leaf_a, leaf_b];
+    for i in 0..ports {
+        b.add_port(order[i % order.len()]).expect("port");
+    }
+    b.build().expect("two-tier builds")
 }
 
 fn routing(idx: usize) -> RoutingFunction {
     RoutingFunction::ALL[idx % 4]
 }
-
-/// The non-eager strategies under test. An explicit `ClosedForm`
-/// request degrades to `Lazy` on topologies without a closed form,
-/// so both rows are meaningful on every library member.
-const VARIANTS: [TablePrep; 2] = [TablePrep::Lazy, TablePrep::ClosedForm];
 
 /// Extra synthetic seeds requested through the `TABLE_EQUIV_CASES`
 /// env knob: `n` extra deterministic seeds per scale tier.
@@ -91,7 +121,6 @@ fn assert_tables_agree(
                     prop_assert_eq!(&*eager.split_all_paths(a, b), &*table.split_all_paths(a, b));
                 }
             }
-            prop_assert_eq!(&*eager.sim_route_set(a, b), &*table.sim_route_set(a, b));
         }
     }
     Ok(())
@@ -112,15 +141,18 @@ fn synthetic_app(seed: u64, cores: usize, locality_pct: u8, hotspot_pct: u8) -> 
 }
 
 proptest! {
-    #![proptest_config(ProptestConfig::with_cases(20))]
+    // Four cases per topology on average, as with the five standard
+    // topologies alone at 20.
+    #![proptest_config(ProptestConfig::with_cases(32))]
 
-    /// Every per-pair answer under lazy and closed-form preparation is
-    /// bit-identical to the eager oracle, across all topologies and
-    /// routing functions — and laziness is real: nothing materialises
-    /// until queried, while the oracle holds all `m²` pairs.
+    /// Every per-pair answer under lazy preparation is bit-identical to
+    /// the eager oracle, across all topologies and routing functions,
+    /// whichever source the lazy hop distances come from — and laziness
+    /// is real: nothing materialises until queried, while the oracle
+    /// holds all `m²` pairs.
     #[test]
     fn table_answers_match_eager_oracle(
-        topo in 0usize..5,
+        topo in 0usize..TOPOLOGIES,
         rf in 0usize..4,
         cores in 6usize..=14,
     ) {
@@ -131,30 +163,26 @@ proptest! {
         let mut eager = RouteTable::with_prep(&g, TablePrep::Eager);
         prop_assert_eq!(eager.prep(), TablePrep::Eager);
         eager.prepare(&g, rf);
-        eager.prepare_sim_routes(&g, 4);
         prop_assert_eq!(eager.materialized_pairs(rf), m * m);
 
-        for prep in VARIANTS {
-            let mut table = RouteTable::with_prep(&g, prep);
-            prop_assert_eq!(table.prep(), prep.resolve(g.kind(), m));
-            table.prepare(&g, rf);
-            table.prepare_sim_routes(&g, 4);
-            // Lazy stores start empty — that is the point.
-            prop_assert_eq!(table.materialized_pairs(rf), 0);
-            assert_tables_agree(&g, rf, &eager, &table)?;
-            // The sweep above touched every off-diagonal pair once;
-            // memoisation retains each exactly once.
-            prop_assert_eq!(table.materialized_pairs(rf), m * m - m);
-        }
+        let mut table = RouteTable::with_prep(&g, TablePrep::Lazy);
+        prop_assert_eq!(table.prep(), TablePrep::Lazy);
+        table.prepare(&g, rf);
+        // Lazy stores start empty — that is the point.
+        prop_assert_eq!(table.materialized_pairs(rf), 0);
+        assert_tables_agree(&g, rf, &eager, &table)?;
+        // The sweep above touched every off-diagonal pair once;
+        // memoisation retains each exactly once.
+        prop_assert_eq!(table.materialized_pairs(rf), m * m - m);
     }
 
     /// A full mapper run — greedy seed, swap search, floorplan, cost
-    /// report — is invariant under the table-preparation knob: same
+    /// report — is invariant under the table preparation: same
     /// placement, same report, same evaluation count, same observed
     /// report sequence, same error on infeasible instances.
     #[test]
     fn mapper_runs_identical_across_preps(
-        topo in 0usize..5,
+        topo in 0usize..TOPOLOGIES,
         rf in 0usize..4,
         obj in 0usize..4,
         seed in 0u64..1_000_000,
@@ -164,6 +192,8 @@ proptest! {
         relaxed in 0usize..2,
     ) {
         let g = topology(topo, cores);
+        // The octagon has 8 slots whatever `cores` asks for.
+        let cores = cores.min(g.mappable_nodes().len());
         let app = synthetic_app(seed, cores, locality, hotspot);
         prop_assume!(app.edge_count() > 0);
         let config = |prep| MapperConfig {
@@ -188,36 +218,44 @@ proptest! {
         let oracle = Mapper::new(&g, &app, config(TablePrep::Eager))
             .run_observed(|r| oracle_observed.push(r.clone()));
 
-        for prep in VARIANTS {
-            let mut observed = Vec::new();
-            let run = Mapper::new(&g, &app, config(prep))
-                .run_observed(|r| observed.push(r.clone()));
-            prop_assert_eq!(&observed, &oracle_observed);
-            match (&oracle, &run) {
-                (Ok(a), Ok(b)) => {
-                    prop_assert_eq!(a.placement().assignment(), b.placement().assignment());
-                    prop_assert_eq!(a.report(), b.report());
-                    prop_assert_eq!(a.evaluated_candidates(), b.evaluated_candidates());
-                }
-                (Err(MappingError::NoFeasibleMapping(a)),
-                 Err(MappingError::NoFeasibleMapping(b))) => {
-                    prop_assert_eq!(a, b);
-                }
-                (Err(a), Err(b)) => prop_assert_eq!(a.to_string(), b.to_string()),
-                (a, b) => {
-                    return Err(TestCaseError::fail(format!(
-                        "{:?}: outcome mismatch: eager ok={} vs ok={}",
-                        prep, a.is_ok(), b.is_ok()
-                    )));
-                }
+        let mut observed = Vec::new();
+        let run = Mapper::new(&g, &app, config(TablePrep::Lazy))
+            .run_observed(|r| observed.push(r.clone()));
+        prop_assert_eq!(&observed, &oracle_observed);
+        match (&oracle, &run) {
+            (Ok(a), Ok(b)) => {
+                prop_assert_eq!(a.placement().assignment(), b.placement().assignment());
+                prop_assert_eq!(a.report(), b.report());
+                prop_assert_eq!(a.evaluated_candidates(), b.evaluated_candidates());
+            }
+            (Err(MappingError::NoFeasibleMapping(a)),
+             Err(MappingError::NoFeasibleMapping(b))) => {
+                prop_assert_eq!(a, b);
+            }
+            (Err(a), Err(b)) => prop_assert_eq!(a.to_string(), b.to_string()),
+            (a, b) => {
+                return Err(TestCaseError::fail(format!(
+                    "outcome mismatch: eager ok={} vs lazy ok={}",
+                    a.is_ok(), b.is_ok()
+                )));
             }
         }
     }
 }
 
+/// The generators above reach both hop sources of a lazy table:
+/// closed-form arithmetic and BFS.
+#[test]
+fn generated_topologies_cover_both_lazy_hop_sources() {
+    let closed: Vec<bool> = (0..TOPOLOGIES)
+        .map(|i| closed_form::supported(topology(i, 8).kind()))
+        .collect();
+    assert_eq!(closed, [true, true, true, true, true, false, false, false]);
+}
+
 /// The scale-tier acceptance case: seeded synthetic workloads on
 /// meshes across the `Auto` threshold (64 cores resolves `Eager`,
-/// 100 cores resolves `ClosedForm`). Every preparation strategy must
+/// 100 cores resolves `Lazy`, with closed-form hop distances). Every preparation strategy must
 /// reproduce the eager winner bit for bit at every tier, for both a
 /// deterministic and a quadrant-driven routing function.
 /// `TABLE_EQUIV_CASES=<n>` soaks `n` extra seeds per tier.
@@ -244,7 +282,7 @@ fn scale_tiers_agree_with_eager_oracle() {
                 let oracle = Mapper::new(&g, &app, config(TablePrep::Eager))
                     .run()
                     .expect("synthetic workload maps under relaxed bandwidth");
-                for prep in [TablePrep::Auto, TablePrep::Lazy, TablePrep::ClosedForm] {
+                for prep in [TablePrep::Auto, TablePrep::Lazy] {
                     let run = Mapper::new(&g, &app, config(prep))
                         .run()
                         .expect("synthetic workload maps under relaxed bandwidth");
@@ -271,7 +309,7 @@ fn scale_tiers_agree_with_eager_oracle() {
 
 /// A mapper run under lazy preparation must not enumerate the whole
 /// `m × m` pair space at scale — only commodity pairs and swap-delta
-/// pairs materialise. (The memory/time win the knob exists for.)
+/// pairs materialise. (The memory and time win lazy preparation exists for.)
 #[test]
 fn lazy_preparation_stays_sparse_at_scale() {
     let g = builders::mesh(10, 10, 500.0).expect("mesh builds");

@@ -6,15 +6,19 @@
 //!   packet id, next-edge demand, timestamps, flags) instead of heap
 //!   nodes holding an `Rc<[NodeId]>` path — an engine's per-edge
 //!   ring-buffer slab is the flit pool, indexed by `edge × slot`;
-//! * **routes are resolved once per pair** through the mapper's
-//!   [`RouteTable`] and compiled into a [`RoutePlan`] — a flat arena of
-//!   per-hop records with the edge id, the bubble-rule space
-//!   requirement and the arrival-latency increment precomputed, so the
-//!   arbitration loop never touches the graph, never recomputes a turn
-//!   axis and never hashes a pair key.
+//! * **routes are enumerated once per pair**, with the same topology
+//!   calls the [`reference`](crate::reference) engine makes, and
+//!   compiled into a [`RoutePlan`] — a flat arena of per-hop records
+//!   with the edge id, the bubble-rule space requirement and the
+//!   arrival-latency increment precomputed, so the arbitration loop
+//!   never touches the graph, never recomputes a turn axis and never
+//!   hashes a pair key.
 
-use sunmap_mapping::{Evaluation, RouteTable, RoutingFunction};
-use sunmap_topology::{EdgeId, NodeCoords, NodeId, NodeKind, TopologyGraph, TopologyKind};
+use sunmap_mapping::{Evaluation, RouteTable};
+use sunmap_topology::{
+    dimension_order, paths, AdjacencyMatrix, NodeCoords, NodeId, NodeKind, TopologyGraph,
+    TopologyKind,
+};
 
 /// Per-pair cap on enumerated minimum paths for synthetic routing on
 /// indirect topologies (the adaptive-routing fan-out of paper §6.2).
@@ -210,24 +214,6 @@ pub(crate) struct RouteArena {
     pub(crate) routes: Vec<RouteSpan>,
 }
 
-/// FNV-1a hash of a graph's directed edge list, capacities included
-/// (the same identity check the mapper's `RouteTable` uses).
-fn edge_fingerprint(g: &TopologyGraph) -> u64 {
-    let mut hash: u64 = 0xCBF2_9CE4_8422_2325;
-    let mut mix = |word: u64| {
-        for byte in word.to_le_bytes() {
-            hash ^= u64::from(byte);
-            hash = hash.wrapping_mul(0x0000_0100_0000_01B3);
-        }
-    };
-    for (_, e) in g.edges() {
-        mix(e.src.index() as u64);
-        mix(e.dst.index() as u64);
-        mix(e.capacity.to_bits());
-    }
-    hash
-}
-
 /// Axis of movement of the step `u -> v`, used to detect when a packet
 /// turns into a new ring (grid column/row, hypercube dimension). `None`
 /// for stage networks, which are acyclic anyway.
@@ -244,20 +230,23 @@ fn axis_of(g: &TopologyGraph, u: NodeId, v: NodeId) -> Option<u32> {
 }
 
 impl RouteArena {
-    /// Compiles the route `nodes`/`edges` (with `edges[i]` connecting
-    /// `nodes[i]` to `nodes[i+1]`) and returns its route id.
+    /// Compiles the route through `nodes`, resolving each window's
+    /// directed edge through `adj`, and returns its route id.
     fn push_route(
         &mut self,
         g: &TopologyGraph,
+        adj: &AdjacencyMatrix,
         config: &SimConfig,
         nodes: &[NodeId],
-        edges: &[EdgeId],
     ) -> u32 {
-        debug_assert_eq!(nodes.len(), edges.len() + 1);
         let pf = config.packet_flits as u32;
         let first_step = self.steps.len() as u32;
-        for (i, &e) in edges.iter().enumerate() {
-            let (u, v) = (nodes[i], nodes[i + 1]);
+        let hops = nodes.len() - 1;
+        for (i, w) in nodes.windows(2).enumerate() {
+            let (u, v) = (w[0], w[1]);
+            let edge = adj
+                .edge_between(u, v)
+                .expect("routes follow topology edges");
             let attach =
                 g.node_kind(u) == NodeKind::CorePort || g.node_kind(v) == NodeKind::CorePort;
             let ready_add = if attach {
@@ -267,9 +256,9 @@ impl RouteArena {
             };
             let ring_entry = i == 0 || axis_of(g, nodes[i - 1], u) != axis_of(g, u, v);
             let head_space = if ring_entry { 2 * pf } else { pf };
-            let eject_at_dst = i + 1 == edges.len() && g.node_kind(v) == NodeKind::CorePort;
+            let eject_at_dst = i + 1 == hops && g.node_kind(v) == NodeKind::CorePort;
             self.steps.push(HopStep {
-                edge: e.index() as u32,
+                edge: edge.index() as u32,
                 ready_add,
                 head_space,
                 eject_at_dst,
@@ -277,28 +266,17 @@ impl RouteArena {
         }
         self.routes.push(RouteSpan {
             first_step,
-            step_count: edges.len() as u16,
+            step_count: hops as u16,
             start_at_switch: g.node_kind(nodes[0]) == NodeKind::Switch,
         });
         (self.routes.len() - 1) as u32
     }
-
-    /// Compiles a route given as an edge sequence (the mapper
-    /// [`RouteTable`]'s cached representation).
-    fn push_edge_route(&mut self, g: &TopologyGraph, config: &SimConfig, edges: &[EdgeId]) -> u32 {
-        let mut nodes = Vec::with_capacity(edges.len() + 1);
-        nodes.push(g.edge(edges[0]).src);
-        for &e in edges {
-            nodes.push(g.edge(e).dst);
-        }
-        self.push_route(g, config, &nodes, edges)
-    }
 }
 
 /// The compiled per-pair routes of one topology under one simulator
-/// configuration: built once (through the mapper's [`RouteTable`]) and
-/// shareable across simulators — the sweep driver builds one plan per
-/// topology and hands clones of the `Arc` to every rate worker.
+/// configuration: built once and shareable across simulators — the
+/// sweep driver builds one plan per topology and hands clones of the
+/// `Arc` to every rate worker.
 #[derive(Debug)]
 pub struct RoutePlan {
     pub(crate) arena: RouteArena,
@@ -306,12 +284,12 @@ pub struct RoutePlan {
     /// indexes `route_ids`.
     pair_offsets: Vec<u32>,
     route_ids: Vec<u32>,
-    /// Identity of the compiled-for graph: kind, shape and an FNV-1a
-    /// fingerprint of the full directed edge list, so
-    /// [`RoutePlan::compatible`] rejects a merely same-shaped graph
-    /// whose edge ids mean different physical links.
+    /// Identity of the compiled-for graph: kind, shape and
+    /// [`TopologyGraph::fingerprint`], so [`RoutePlan::compatible`]
+    /// rejects a merely same-shaped graph whose edge ids mean different
+    /// physical links.
     kind: TopologyKind,
-    edge_fingerprint: u64,
+    fingerprint: u64,
     terminal_count: usize,
     edge_count: usize,
     /// Direct topologies take the single dimension-ordered route; on
@@ -322,40 +300,37 @@ pub struct RoutePlan {
 }
 
 impl RoutePlan {
-    /// Compiles the synthetic-traffic routes of `g` under `config`:
-    /// dimension-ordered on direct topologies (deadlock-free with the
-    /// bubble rule), all minimum paths (capped at [`SIM_PATH_CAP`]) on
-    /// the acyclic multistage networks. Pair enumeration and caching go
-    /// through the mapper's `table`, so a table prepared by the
-    /// exploration flow is reused as-is.
+    /// Compiles the synthetic-traffic routes of `g` under `config`
+    /// with the [`reference`](crate::reference) engine's calls:
+    /// [`dimension_order::route`] on direct topologies (deadlock-free
+    /// with the bubble rule), [`paths::all_shortest_paths`] capped at
+    /// [`SIM_PATH_CAP`] on the acyclic multistage networks. `table`
+    /// lends only its adjacency matrix and terminal order
+    /// ([`RouteTable::mappable_nodes`]); its per-pair stores are the
+    /// mapper's, and compiling a plan neither reads nor fills them.
     ///
     /// # Panics
     ///
     /// Panics if `table` was built for a different graph.
-    pub fn synthetic(g: &TopologyGraph, table: &mut RouteTable, config: &SimConfig) -> RoutePlan {
+    pub fn synthetic(g: &TopologyGraph, table: &RouteTable, config: &SimConfig) -> RoutePlan {
+        assert!(table.matches(g), "route table built for a different graph");
         let direct = g.kind().is_direct();
-        if direct {
-            table.prepare(g, RoutingFunction::DimensionOrdered);
-        } else {
-            table.prepare_sim_routes(g, SIM_PATH_CAP);
-        }
-        let terminals = table.mappable_nodes().to_vec();
+        let (terminals, adj) = (table.mappable_nodes(), table.adjacency());
         let n = terminals.len();
         let mut arena = RouteArena::default();
         let mut pair_offsets = Vec::with_capacity(n * n + 1);
         let mut route_ids = Vec::new();
         pair_offsets.push(0u32);
-        for &a in &terminals {
-            for &b in &terminals {
+        for &a in terminals {
+            for &b in terminals {
                 if a != b {
-                    if direct {
-                        if let Some(p) = table.dimension_ordered_route(a, b).as_ref() {
-                            route_ids.push(arena.push_edge_route(g, config, p.edges()));
-                        }
+                    let routes = if direct {
+                        dimension_order::route(g, a, b).into_iter().collect()
                     } else {
-                        for p in table.sim_route_set(a, b).iter() {
-                            route_ids.push(arena.push_edge_route(g, config, p.edges()));
-                        }
+                        paths::all_shortest_paths(g, a, b, None, SIM_PATH_CAP)
+                    };
+                    for nodes in &routes {
+                        route_ids.push(arena.push_route(g, adj, config, nodes));
                     }
                 }
                 pair_offsets.push(route_ids.len() as u32);
@@ -366,7 +341,7 @@ impl RoutePlan {
             pair_offsets,
             route_ids,
             kind: g.kind(),
-            edge_fingerprint: edge_fingerprint(g),
+            fingerprint: g.fingerprint(),
             terminal_count: n,
             edge_count: g.edge_count(),
             direct,
@@ -392,14 +367,7 @@ impl RoutePlan {
         for r in &eval.routes {
             let mut routes = Vec::with_capacity(r.paths.len());
             for (p, f) in &r.paths {
-                let edges: Vec<EdgeId> = p
-                    .windows(2)
-                    .map(|w| {
-                        adj.edge_between(w[0], w[1])
-                            .expect("evaluated routes follow topology edges")
-                    })
-                    .collect();
-                routes.push((arena.push_route(g, config, p, &edges), *f));
+                routes.push((arena.push_route(g, &adj, config, p), *f));
             }
             traces.push(Trace {
                 terminal: term_of[r.src_node.index()] as usize,
@@ -413,7 +381,7 @@ impl RoutePlan {
             pair_offsets: Vec::new(),
             route_ids: Vec::new(),
             kind: g.kind(),
-            edge_fingerprint: edge_fingerprint(g),
+            fingerprint: g.fingerprint(),
             terminal_count: g.mappable_nodes().len(),
             edge_count: g.edge_count(),
             direct: g.kind().is_direct(),
@@ -431,13 +399,6 @@ impl RoutePlan {
         &self.route_ids[lo..hi]
     }
 
-    /// The FNV-1a fingerprint of the edge list this plan was compiled
-    /// for. It equals the mapper `RouteTable::fingerprint` of the same
-    /// graph, so warm caches can key tables and plans together.
-    pub fn fingerprint(&self) -> u64 {
-        self.edge_fingerprint
-    }
-
     /// Whether this plan was compiled for `g` under `config`: same
     /// topology kind, shape, directed edge list (endpoints and
     /// capacities, order-sensitive) and timing-relevant parameters.
@@ -445,7 +406,7 @@ impl RoutePlan {
         self.kind == g.kind()
             && self.terminal_count == g.mappable_nodes().len()
             && self.edge_count == g.edge_count()
-            && self.edge_fingerprint == edge_fingerprint(g)
+            && self.fingerprint == g.fingerprint()
             && self.packet_flits == config.packet_flits
             && self.switch_pipeline == config.switch_pipeline
     }
@@ -494,8 +455,8 @@ mod tests {
     fn shared_plan_matches_owned_plan() {
         let g = builders::clos(4, 4, 4, 500.0).unwrap();
         let config = SimConfig::fast();
-        let mut table = RouteTable::new(&g);
-        let plan = Arc::new(RoutePlan::synthetic(&g, &mut table, &config));
+        let table = RouteTable::new(&g);
+        let plan = Arc::new(RoutePlan::synthetic(&g, &table, &config));
         let mut shared = SimSession::builder(&g).config(config).plan(plan).build();
         let mut owned = SimSession::builder(&g).config(config).build();
         assert_eq!(
@@ -510,9 +471,19 @@ mod tests {
         let a = builders::mesh(3, 3, 500.0).unwrap();
         let b = builders::mesh(4, 4, 500.0).unwrap();
         let config = SimConfig::fast();
-        let mut table = RouteTable::new(&a);
-        let plan = Arc::new(RoutePlan::synthetic(&a, &mut table, &config));
+        let table = RouteTable::new(&a);
+        let plan = Arc::new(RoutePlan::synthetic(&a, &table, &config));
         let _ = SimSession::builder(&b).config(config).plan(plan).build();
+    }
+
+    #[test]
+    #[should_panic(expected = "different graph")]
+    fn synthetic_rejects_a_table_for_another_graph() {
+        // Same kind and counts; only the capacities differ.
+        let a = builders::mesh(3, 4, 500.0).unwrap();
+        let b = builders::mesh(3, 4, 400.0).unwrap();
+        let table = RouteTable::new(&b);
+        let _ = RoutePlan::synthetic(&a, &table, &SimConfig::fast());
     }
 
     #[test]
@@ -523,8 +494,8 @@ mod tests {
         let a = builders::mesh(3, 4, 500.0).unwrap();
         let b = builders::mesh(3, 4, 400.0).unwrap();
         let config = SimConfig::fast();
-        let mut table = RouteTable::new(&a);
-        let plan = RoutePlan::synthetic(&a, &mut table, &config);
+        let table = RouteTable::new(&a);
+        let plan = RoutePlan::synthetic(&a, &table, &config);
         assert!(plan.compatible(&a, &config));
         assert!(!plan.compatible(&b, &config));
         // Transposed grid: same counts, different kind parameters.

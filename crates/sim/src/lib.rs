@@ -28,9 +28,12 @@
 //! One production engine runs every simulation: the event-driven
 //! active-set engine (a cycle costs `O(k)` in the number of active
 //! edges and in-flight hop completions, not `O(V + E)`), fed by routes
-//! compiled once per topology — through the mapper's
-//! [`RouteTable`](sunmap_mapping::RouteTable) — into a shareable
-//! [`RoutePlan`] of `Copy` hop records. The pre-rebuild
+//! the simulator enumerates once per topology, with the same
+//! `dimension_order::route` and `paths::all_shortest_paths` calls the
+//! reference engine makes, and compiles into a shareable [`RoutePlan`]
+//! of `Copy` hop records. The mapper's
+//! [`RouteTable`](sunmap_mapping::RouteTable) only lends the compiler
+//! its adjacency matrix and terminal order. The pre-rebuild
 //! [`reference`](mod@reference) engine is kept as the behavioral
 //! oracle: the equivalence tests require bit-identical
 //! [`LatencyStats`] per seed, and require the production engine to

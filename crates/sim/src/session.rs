@@ -127,8 +127,7 @@ impl<'a> SimSession<'a> {
         let (graph, config) = (self.graph, &self.config);
         self.plan
             .get_or_insert_with(|| {
-                let mut table = RouteTable::new(graph);
-                Arc::new(RoutePlan::synthetic(graph, &mut table, config))
+                Arc::new(RoutePlan::synthetic(graph, &RouteTable::new(graph), config))
             })
             .clone()
     }

@@ -74,8 +74,11 @@ pub fn injection_sweep(
         .iter()
         .map(|r| {
             (config.engine != SimEngine::Reference).then(|| {
-                let mut table = RouteTable::new(r.graph);
-                Arc::new(RoutePlan::synthetic(r.graph, &mut table, &config))
+                Arc::new(RoutePlan::synthetic(
+                    r.graph,
+                    &RouteTable::new(r.graph),
+                    &config,
+                ))
             })
         })
         .collect();

@@ -250,6 +250,26 @@ impl TopologyGraph {
         self.edges.iter().enumerate().map(|(i, e)| (EdgeId(i), *e))
     }
 
+    /// FNV-1a hash of the directed edge list (endpoints and capacity
+    /// bits, in edge-id order). Structures compiled for one graph (the
+    /// mapper's route table, the simulator's route plan) check it, so a
+    /// graph that merely shares their graph's kind and counts, but whose
+    /// edge ids name other links, is rejected.
+    pub fn fingerprint(&self) -> u64 {
+        let mut hash: u64 = 0xCBF2_9CE4_8422_2325;
+        let mut mix = |word: u64| {
+            for byte in word.to_le_bytes() {
+                hash = (hash ^ u64::from(byte)).wrapping_mul(0x0000_0100_0000_01B3);
+            }
+        };
+        for e in &self.edges {
+            mix(e.src.index() as u64);
+            mix(e.dst.index() as u64);
+            mix(e.capacity.to_bits());
+        }
+        hash
+    }
+
     /// All vertices.
     pub fn nodes(&self) -> impl Iterator<Item = NodeId> {
         (0..self.node_count()).map(NodeId)

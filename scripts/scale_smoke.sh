@@ -4,10 +4,11 @@
 # (SUNMAP_SCALE_SMOKE=1 opts the 4096 run in; it is skipped in the debug
 # tier-1 suite, where the wall-clock bound is meaningless).
 #
-# That every route-table preparation maps to the same bytes is proven
-# by crates/mapping/tests/table_prep_equivalence.rs (its 64- and
-# 100-core tiers, and every topology and routing function in its
-# property tests); no user surface names a preparation.
+# That both route-table preparations (eager, and lazy with closed-form
+# or BFS hop distances) map to the same bytes is proven by
+# crates/mapping/tests/table_prep_equivalence.rs (its 64- and 100-core
+# tiers, and every topology and routing function in its property
+# tests); no user surface names a preparation.
 #
 # Usage: scripts/scale_smoke.sh
 set -eu

@@ -166,9 +166,9 @@ fn seed_benchmark_explorations_match_the_pinned_goldens() {
 
 /// One pinned scale-tier mapping: `synth:seed=7,cores=<cores>` on one
 /// library topology under MinDelay / dimension-ordered routing with
-/// bandwidth relaxed (the large-mesh regime the lazy and closed-form
-/// route preparations exist for; `TablePrep::Auto` resolves to
-/// `ClosedForm` on every topology here).
+/// bandwidth relaxed (the large-mesh regime lazy route preparation
+/// exists for; `TablePrep::Auto` resolves to `Lazy` on every topology
+/// here, with closed-form hop distances).
 struct ScaleFixture {
     cores: usize,
     /// Index into `builders::standard_library` (0 = mesh, 1 = torus,
