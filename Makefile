@@ -7,7 +7,7 @@
 
 CARGO ?= cargo
 
-.PHONY: all build test examples bench-record bench-check batch-smoke serve-smoke shard-smoke scale-smoke sim-equiv table-equiv perfbench-test doc lint fmt ci clean
+.PHONY: all build test examples bench-record bench-ab bench-check batch-smoke serve-smoke shard-smoke scale-smoke sim-equiv table-equiv perfbench-test doc lint fmt ci clean
 
 all: build
 
@@ -45,6 +45,18 @@ bench-record:
 		       "--out", shlex.quote("$(BENCH_OUT)")) \
 		 for _ in range($(BENCH_RUNS)) for w in b["workloads"]]' | sh -ex
 	python3 perfbench/compare.py $(BENCH_OUT)
+
+## A/B the benchmark against a parent revision: builds perfbench with
+## BENCHMARK.json's command in a git worktree of PARENT and in the
+## working tree, runs ten pairs of every workload at its run length,
+## alternating which side goes first (about 35 minutes; keep the machine
+## idle), prints perfbench/compare.py's verdicts and writes a
+## sunmap-bench-record/1 file to target/bench-ab/record.json. Not part of
+## `make ci`. scripts/bench_ab.sh takes more options (seed, pairs,
+## traced runs, workloads, record file).
+bench-ab:
+	@test -n "$(PARENT)" || { echo "usage: make bench-ab PARENT=<rev>" >&2; exit 2; }
+	sh scripts/bench_ab.sh $(PARENT)
 
 ## Check the benchmark's pinned outputs: every workload BENCHMARK.json
 ## declares runs once, with that file's command, for one second

@@ -11,9 +11,15 @@
 //!
 //! Inputs are a [`RelativePlacement`]: blocks (cores and switches, each
 //! with an area and an aspect-ratio range for soft blocks) assigned to
-//! integer grid slots. Outputs are a [`Floorplan`] with exact positions
-//! and sizes, from which the mapping engine reads chip area, aspect
-//! ratio and link lengths.
+//! integer grid slots. Blocks carry no names: a block is its
+//! [`BlockId`], the order it was added in, and callers keep their own
+//! id → core/switch tables. Outputs are a [`Floorplan`] with exact
+//! positions and sizes, from which the mapping engine reads chip area,
+//! aspect ratio and link lengths.
+//!
+//! Grid slots may be any `usize` values, however far apart: only the
+//! order of the occupied rows and columns matters, so the solve ranks
+//! them and never allocates by coordinate.
 //!
 //! # Examples
 //!
@@ -21,11 +27,11 @@
 //! use sunmap_floorplan::{BlockSpec, RelativePlacement};
 //!
 //! let mut rp = RelativePlacement::new();
-//! let a = rp.add_block(BlockSpec::soft("cpu", 4.0), 0, 0);
-//! let b = rp.add_block(BlockSpec::soft("mem", 9.0), 0, 1);
+//! let cpu = rp.add_block(BlockSpec::soft(4.0), 0, 0);
+//! let mem = rp.add_block(BlockSpec::soft(9.0), 0, 1);
 //! let plan = rp.floorplan()?;
 //! assert!(plan.chip_area() >= 13.0);
-//! assert!(plan.link_length(a, b) > 0.0);
+//! assert!(plan.link_length(cpu, mem) > 0.0);
 //! # Ok::<(), sunmap_floorplan::FloorplanError>(())
 //! ```
 
@@ -50,11 +56,11 @@ impl std::fmt::Display for BlockId {
     }
 }
 
-/// Geometry specification of one block (a core or a switch).
-#[derive(Debug, Clone, PartialEq)]
+/// Geometry specification of one block (a core or a switch). The spec
+/// is geometry only; the block's identity is the [`BlockId`]
+/// [`RelativePlacement::add_block`] returns for it.
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct BlockSpec {
-    /// Display name.
-    pub name: String,
     /// Block area in mm².
     pub area: f64,
     /// Minimum permissible width/height ratio.
@@ -67,9 +73,8 @@ impl BlockSpec {
     /// A soft block: the floorplanner may reshape it within the default
     /// permissible aspect range `[1/3, 3]` of typical physical-design
     /// practice.
-    pub fn soft(name: impl Into<String>, area: f64) -> Self {
+    pub fn soft(area: f64) -> Self {
         BlockSpec {
-            name: name.into(),
             area,
             min_aspect: 1.0 / 3.0,
             max_aspect: 3.0,
@@ -77,9 +82,8 @@ impl BlockSpec {
     }
 
     /// A hard block: fixed square shape.
-    pub fn hard(name: impl Into<String>, area: f64) -> Self {
+    pub fn hard(area: f64) -> Self {
         BlockSpec {
-            name: name.into(),
             area,
             min_aspect: 1.0,
             max_aspect: 1.0,
@@ -87,9 +91,8 @@ impl BlockSpec {
     }
 
     /// A soft block with explicit aspect bounds.
-    pub fn with_aspect(name: impl Into<String>, area: f64, min: f64, max: f64) -> Self {
+    pub fn with_aspect(area: f64, min: f64, max: f64) -> Self {
         BlockSpec {
-            name: name.into(),
             area,
             min_aspect: min,
             max_aspect: max,
@@ -97,23 +100,25 @@ impl BlockSpec {
     }
 }
 
-/// Errors from floorplanning.
+/// Errors from floorplanning. Blocks are named by their [`BlockId`]
+/// (`b3` in the message text).
 #[derive(Debug, Clone, PartialEq)]
 #[non_exhaustive]
 pub enum FloorplanError {
     /// A block has non-positive or non-finite area.
     InvalidArea {
-        /// Offending block name.
-        name: String,
+        /// The offending block.
+        block: BlockId,
         /// Offending area value.
         area: f64,
     },
     /// A block has an empty or invalid aspect range.
     InvalidAspect {
-        /// Offending block name.
-        name: String,
+        /// The offending block.
+        block: BlockId,
     },
-    /// Two blocks were assigned the same grid slot.
+    /// Two blocks were assigned the same grid slot: the slot of the
+    /// first block, in block order, whose slot an earlier block holds.
     SlotCollision {
         /// Grid row of the collision.
         row: usize,
@@ -127,11 +132,11 @@ pub enum FloorplanError {
 impl std::fmt::Display for FloorplanError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
-            FloorplanError::InvalidArea { name, area } => {
-                write!(f, "block {name} has invalid area {area}")
+            FloorplanError::InvalidArea { block, area } => {
+                write!(f, "block {block} has invalid area {area}")
             }
-            FloorplanError::InvalidAspect { name } => {
-                write!(f, "block {name} has an invalid aspect-ratio range")
+            FloorplanError::InvalidAspect { block } => {
+                write!(f, "block {block} has an invalid aspect-ratio range")
             }
             FloorplanError::SlotCollision { row, col } => {
                 write!(f, "two blocks occupy grid slot ({row}, {col})")
@@ -217,19 +222,19 @@ mod tests {
 
     #[test]
     fn block_spec_constructors() {
-        let s = BlockSpec::soft("a", 4.0);
+        let s = BlockSpec::soft(4.0);
         assert!(s.min_aspect < 1.0 && s.max_aspect > 1.0);
-        let h = BlockSpec::hard("b", 4.0);
+        let h = BlockSpec::hard(4.0);
         assert_eq!((h.min_aspect, h.max_aspect), (1.0, 1.0));
-        let w = BlockSpec::with_aspect("c", 4.0, 0.5, 2.0);
+        let w = BlockSpec::with_aspect(4.0, 0.5, 2.0);
         assert_eq!((w.min_aspect, w.max_aspect), (0.5, 2.0));
     }
 
     #[test]
     fn slot_collision_detected() {
         let mut rp = RelativePlacement::new();
-        rp.add_block(BlockSpec::soft("a", 1.0), 0, 0);
-        rp.add_block(BlockSpec::soft("b", 1.0), 0, 0);
+        rp.add_block(BlockSpec::soft(1.0), 0, 0);
+        rp.add_block(BlockSpec::soft(1.0), 0, 0);
         assert_eq!(
             rp.floorplan().unwrap_err(),
             FloorplanError::SlotCollision { row: 0, col: 0 }
@@ -247,16 +252,24 @@ mod tests {
     #[test]
     fn invalid_specs_rejected() {
         let mut rp = RelativePlacement::new();
-        rp.add_block(BlockSpec::soft("bad", -1.0), 0, 0);
-        assert!(matches!(
-            rp.floorplan().unwrap_err(),
-            FloorplanError::InvalidArea { .. }
-        ));
+        rp.add_block(BlockSpec::soft(1.0), 0, 0);
+        rp.add_block(BlockSpec::soft(-1.0), 0, 1);
+        let err = rp.floorplan().unwrap_err();
+        assert_eq!(
+            err,
+            FloorplanError::InvalidArea {
+                block: BlockId(1),
+                area: -1.0
+            }
+        );
+        assert_eq!(err.to_string(), "block b1 has invalid area -1");
         let mut rp = RelativePlacement::new();
-        rp.add_block(BlockSpec::with_aspect("bad", 1.0, 2.0, 0.5), 0, 0);
-        assert!(matches!(
-            rp.floorplan().unwrap_err(),
-            FloorplanError::InvalidAspect { .. }
-        ));
+        rp.add_block(BlockSpec::with_aspect(1.0, 2.0, 0.5), 0, 0);
+        let err = rp.floorplan().unwrap_err();
+        assert_eq!(err, FloorplanError::InvalidAspect { block: BlockId(0) });
+        assert_eq!(
+            err.to_string(),
+            "block b0 has an invalid aspect-ratio range"
+        );
     }
 }

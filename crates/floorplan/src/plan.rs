@@ -1,16 +1,13 @@
 //! The longest-path constraint-graph solve and the resulting plan.
 
-use std::collections::BTreeMap;
-
 use crate::{BlockId, FloorplanError, RelativePlacement};
 
-/// A block with its solved geometry.
-#[derive(Debug, Clone, PartialEq)]
+/// A block with its solved geometry. Like [`crate::BlockSpec`] it has
+/// no name: its [`BlockId`] is its identity.
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct PlacedBlock {
     /// The block's id in the originating placement.
     pub id: BlockId,
-    /// Display name copied from the spec.
-    pub name: String,
     /// Lower-left x coordinate (mm).
     pub x: f64,
     /// Lower-left y coordinate (mm).
@@ -118,13 +115,14 @@ impl Floorplan {
 
 pub(crate) fn solve(rp: &RelativePlacement) -> Result<Floorplan, FloorplanError> {
     let blocks = rp.blocks();
+    let positions = rp.positions();
     if blocks.is_empty() {
         return Err(FloorplanError::Empty);
     }
-    for b in blocks {
+    for (i, b) in blocks.iter().enumerate() {
         if !(b.area.is_finite() && b.area > 0.0) {
             return Err(FloorplanError::InvalidArea {
-                name: b.name.clone(),
+                block: BlockId(i),
                 area: b.area,
             });
         }
@@ -133,52 +131,74 @@ pub(crate) fn solve(rp: &RelativePlacement) -> Result<Floorplan, FloorplanError>
             && b.min_aspect > 0.0
             && b.min_aspect <= b.max_aspect)
         {
-            return Err(FloorplanError::InvalidAspect {
-                name: b.name.clone(),
-            });
+            return Err(FloorplanError::InvalidAspect { block: BlockId(i) });
         }
     }
-    let mut seen: BTreeMap<(usize, usize), ()> = BTreeMap::new();
-    for &(row, col) in rp.positions() {
-        if seen.insert((row, col), ()).is_some() {
-            return Err(FloorplanError::SlotCollision { row, col });
+
+    // Only the order of the occupied rows and columns matters: an empty
+    // row or column would add exactly 0.0 to the prefix sums below. So
+    // every block gets the rank of its row and of its column among the
+    // occupied ones, and nothing is sized by a raw coordinate.
+    let n = blocks.len();
+    let mut sorted = Vec::with_capacity(n);
+    let (col_of, cols) = rank(positions.iter().map(|p| p.1), &mut sorted);
+    let (row_of, rows) = rank(positions.iter().map(|p| p.0), &mut sorted);
+    // `sorted` now lists the blocks row by row, lowest id first: a block
+    // whose column an earlier block of its row holds collides with it.
+    let mut last_row = vec![usize::MAX; cols];
+    let mut collision = None::<usize>;
+    for &(_, i) in &sorted {
+        let (r, c) = (row_of[i], col_of[i]);
+        if last_row[c] == r {
+            collision = Some(collision.map_or(i, |first| first.min(i)));
         }
+        last_row[c] = r;
+    }
+    if let Some(i) = collision {
+        let (row, col) = positions[i];
+        return Err(FloorplanError::SlotCollision { row, col });
     }
 
     // Initial square shapes.
-    let mut widths: Vec<f64> = blocks.iter().map(|b| b.area.sqrt()).collect();
-    let mut heights: Vec<f64> = widths.clone();
-
-    let rows = rp.positions().iter().map(|p| p.0).max().unwrap_or(0) + 1;
-    let cols = rp.positions().iter().map(|p| p.1).max().unwrap_or(0) + 1;
+    let mut heights: Vec<f64> = blocks.iter().map(|b| b.area.sqrt()).collect();
+    // width/height must stay in [min_aspect, max_aspect]: height in
+    // [sqrt(area/max), sqrt(area/min)].
+    let height_range: Vec<(f64, f64)> = blocks
+        .iter()
+        .map(|b| {
+            (
+                (b.area / b.max_aspect).sqrt(),
+                (b.area / b.min_aspect).sqrt(),
+            )
+        })
+        .collect();
 
     // Two sizing passes: stretch each soft block to its row height
-    // (within its aspect range), which shrinks its width; recompute.
+    // (within its aspect range) and recompute the row heights; its
+    // width, which shrinks, follows from its final height.
+    let mut row_h = vec![0.0f64; rows];
     for _ in 0..2 {
-        let mut row_h = vec![0.0f64; rows];
-        for (i, &(r, _)) in rp.positions().iter().enumerate() {
+        row_h.fill(0.0);
+        for (i, &r) in row_of.iter().enumerate() {
             row_h[r] = row_h[r].max(heights[i]);
         }
-        for (i, b) in blocks.iter().enumerate() {
-            let (r, _) = rp.positions()[i];
-            let target_h = row_h[r];
-            // width/height must stay in [min_aspect, max_aspect]:
-            // height in [sqrt(area/max), sqrt(area/min)].
-            let h_min = (b.area / b.max_aspect).sqrt();
-            let h_max = (b.area / b.min_aspect).sqrt();
-            let h = target_h.clamp(h_min, h_max);
-            heights[i] = h;
-            widths[i] = b.area / h;
+        for (i, (h_min, h_max)) in height_range.iter().enumerate() {
+            heights[i] = row_h[row_of[i]].clamp(*h_min, *h_max);
         }
     }
+    let widths: Vec<f64> = blocks
+        .iter()
+        .zip(&heights)
+        .map(|(b, h)| b.area / h)
+        .collect();
 
     // Constraint-graph longest path: on a grid this is column widths /
     // row heights as running maxima.
     let mut col_w = vec![0.0f64; cols];
-    let mut row_h = vec![0.0f64; rows];
-    for (i, &(r, c)) in rp.positions().iter().enumerate() {
-        col_w[c] = col_w[c].max(widths[i]);
-        row_h[r] = row_h[r].max(heights[i]);
+    row_h.fill(0.0);
+    for i in 0..n {
+        col_w[col_of[i]] = col_w[col_of[i]].max(widths[i]);
+        row_h[row_of[i]] = row_h[row_of[i]].max(heights[i]);
     }
     let mut col_x = vec![0.0f64; cols + 1];
     for c in 0..cols {
@@ -189,17 +209,14 @@ pub(crate) fn solve(rp: &RelativePlacement) -> Result<Floorplan, FloorplanError>
         row_y[r + 1] = row_y[r] + row_h[r];
     }
 
-    let placed = blocks
-        .iter()
-        .enumerate()
-        .map(|(i, b)| {
-            let (r, c) = rp.positions()[i];
+    let placed = (0..n)
+        .map(|i| {
+            let (r, c) = (row_of[i], col_of[i]);
             // Centre the block in its slot.
             let x = col_x[c] + (col_w[c] - widths[i]) / 2.0;
             let y = row_y[r] + (row_h[r] - heights[i]) / 2.0;
             PlacedBlock {
                 id: BlockId(i),
-                name: b.name.clone(),
                 x,
                 y,
                 width: widths[i],
@@ -215,35 +232,51 @@ pub(crate) fn solve(rp: &RelativePlacement) -> Result<Floorplan, FloorplanError>
     })
 }
 
+/// Ranks each block's key among the distinct keys: returns every
+/// block's rank and the number of distinct keys, and leaves `sorted`
+/// holding the `(key, block)` pairs in ascending order.
+fn rank(
+    keys: impl Iterator<Item = usize>,
+    sorted: &mut Vec<(usize, usize)>,
+) -> (Vec<usize>, usize) {
+    sorted.clear();
+    sorted.extend(keys.enumerate().map(|(i, key)| (key, i)));
+    sorted.sort_unstable();
+    let mut rank_of = vec![0usize; sorted.len()];
+    let mut distinct = 0;
+    for (k, &(key, i)) in sorted.iter().enumerate() {
+        if k > 0 && sorted[k - 1].0 != key {
+            distinct += 1;
+        }
+        rank_of[i] = distinct;
+    }
+    (rank_of, distinct + 1)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::BlockSpec;
 
-    fn grid_plan(specs: &[(&str, f64, usize, usize)]) -> Floorplan {
+    fn grid_plan(specs: &[(f64, usize, usize)]) -> Floorplan {
         let mut rp = RelativePlacement::new();
-        for (name, area, r, c) in specs {
-            rp.add_block(BlockSpec::soft(*name, *area), *r, *c);
+        for &(area, r, c) in specs {
+            rp.add_block(BlockSpec::soft(area), r, c);
         }
         rp.floorplan().unwrap()
     }
 
     #[test]
     fn no_two_blocks_overlap() {
-        let plan = grid_plan(&[
-            ("a", 4.0, 0, 0),
-            ("b", 9.0, 0, 1),
-            ("c", 1.0, 1, 0),
-            ("d", 16.0, 1, 1),
-        ]);
+        let plan = grid_plan(&[(4.0, 0, 0), (9.0, 0, 1), (1.0, 1, 0), (16.0, 1, 1)]);
         let blocks = plan.blocks();
         for i in 0..blocks.len() {
             for j in i + 1..blocks.len() {
                 assert!(
                     !blocks[i].overlaps(&blocks[j]),
                     "{} overlaps {}",
-                    blocks[i].name,
-                    blocks[j].name
+                    blocks[i].id,
+                    blocks[j].id
                 );
             }
         }
@@ -251,7 +284,7 @@ mod tests {
 
     #[test]
     fn chip_contains_all_blocks() {
-        let plan = grid_plan(&[("a", 4.0, 0, 0), ("b", 25.0, 1, 2), ("c", 2.0, 2, 1)]);
+        let plan = grid_plan(&[(4.0, 0, 0), (25.0, 1, 2), (2.0, 2, 1)]);
         for b in plan.blocks() {
             assert!(b.x >= -1e-9 && b.y >= -1e-9);
             assert!(b.x + b.width <= plan.chip_width() + 1e-9);
@@ -261,17 +294,17 @@ mod tests {
 
     #[test]
     fn areas_preserved_by_resizing() {
-        let plan = grid_plan(&[("a", 4.0, 0, 0), ("b", 9.0, 0, 1), ("c", 2.5, 1, 0)]);
+        let plan = grid_plan(&[(4.0, 0, 0), (9.0, 0, 1), (2.5, 1, 0)]);
         for (b, area) in plan.blocks().iter().zip([4.0, 9.0, 2.5]) {
-            assert!((b.area() - area).abs() < 1e-9, "{} area drifted", b.name);
+            assert!((b.area() - area).abs() < 1e-9, "{} area drifted", b.id);
         }
     }
 
     #[test]
     fn aspect_bounds_respected() {
         let mut rp = RelativePlacement::new();
-        rp.add_block(BlockSpec::with_aspect("tall", 4.0, 0.25, 0.5), 0, 0);
-        rp.add_block(BlockSpec::hard("sq", 100.0), 0, 1);
+        rp.add_block(BlockSpec::with_aspect(4.0, 0.25, 0.5), 0, 0);
+        rp.add_block(BlockSpec::hard(100.0), 0, 1);
         let plan = rp.floorplan().unwrap();
         let tall = plan.block(BlockId(0));
         assert!(tall.aspect() <= 0.5 + 1e-9);
@@ -282,14 +315,14 @@ mod tests {
 
     #[test]
     fn single_block_is_the_chip() {
-        let plan = grid_plan(&[("only", 6.25, 0, 0)]);
+        let plan = grid_plan(&[(6.25, 0, 0)]);
         assert!((plan.chip_area() - 6.25).abs() < 1e-9);
         assert!((plan.utilization() - 1.0).abs() < 1e-9);
     }
 
     #[test]
     fn link_length_is_manhattan_between_centers() {
-        let plan = grid_plan(&[("a", 4.0, 0, 0), ("b", 4.0, 0, 1), ("c", 4.0, 1, 0)]);
+        let plan = grid_plan(&[(4.0, 0, 0), (4.0, 0, 1), (4.0, 1, 0)]);
         // Side-by-side 2x2 squares: centres 2 mm apart.
         assert!((plan.link_length(BlockId(0), BlockId(1)) - 2.0).abs() < 1e-9);
         assert!((plan.link_length(BlockId(0), BlockId(2)) - 2.0).abs() < 1e-9);
@@ -300,14 +333,25 @@ mod tests {
     #[test]
     fn sparse_grids_are_allowed() {
         // Slots may be empty; geometry must remain consistent.
-        let plan = grid_plan(&[("a", 1.0, 0, 0), ("b", 1.0, 3, 5)]);
+        let plan = grid_plan(&[(1.0, 0, 0), (1.0, 3, 5)]);
         assert!(plan.chip_width() > 0.0 && plan.chip_height() > 0.0);
         assert!(plan.utilization() <= 1.0);
     }
 
     #[test]
+    fn coordinates_at_the_ends_of_usize_solve() {
+        // Far slots rank like near ones: no allocation follows the raw
+        // coordinates, and the plan is the (0,0)/(1,1) one bit for bit.
+        let far = grid_plan(&[(1.0, 0, 0), (4.0, usize::MAX, usize::MAX)]);
+        let near = grid_plan(&[(1.0, 0, 0), (4.0, 1, 1)]);
+        assert_eq!(far, near);
+        assert_eq!(far.chip_width(), 3.0);
+        assert_eq!(far.chip_height(), 3.0);
+    }
+
+    #[test]
     fn utilization_in_unit_interval() {
-        let plan = grid_plan(&[("a", 3.0, 0, 0), ("b", 5.0, 1, 1), ("c", 7.0, 2, 2)]);
+        let plan = grid_plan(&[(3.0, 0, 0), (5.0, 1, 1), (7.0, 2, 2)]);
         assert!(plan.utilization() > 0.0 && plan.utilization() <= 1.0);
     }
 }

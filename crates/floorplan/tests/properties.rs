@@ -7,7 +7,10 @@
 //!   (equivalently, utilisation never exceeds 1);
 //! * link lengths are symmetric;
 //! * every soft block's solved aspect ratio stays within its declared
-//!   `[min_aspect, max_aspect]` range, and its area is preserved.
+//!   `[min_aspect, max_aspect]` range, and its area is preserved;
+//! * spreading the occupied rows and columns apart leaves every
+//!   coordinate and the chip extents bit-identical (empty rows and
+//!   columns are free).
 
 use proptest::collection::vec;
 use proptest::prelude::*;
@@ -31,11 +34,11 @@ fn build(cols: usize, slots: &[BlockGen]) -> Option<RelativePlacement> {
         }
         any = true;
         let spec = if hard {
-            BlockSpec::hard(format!("b{i}"), area)
+            BlockSpec::hard(area)
         } else {
             // min in [0.2, 1.0), max = min * spread with spread >= 1,
             // so the range is always non-empty.
-            BlockSpec::with_aspect(format!("b{i}"), area, min_seed, min_seed * spread)
+            BlockSpec::with_aspect(area, min_seed, min_seed * spread)
         };
         rp.add_block(spec, i / cols, i % cols);
     }
@@ -64,8 +67,8 @@ proptest! {
                 prop_assert!(
                     !blocks[i].overlaps(&blocks[j]),
                     "{} overlaps {}",
-                    blocks[i].name,
-                    blocks[j].name
+                    blocks[i].id,
+                    blocks[j].id
                 );
             }
         }
@@ -139,7 +142,7 @@ proptest! {
                 placed.aspect() >= spec.min_aspect - 1e-9
                     && placed.aspect() <= spec.max_aspect + 1e-9,
                 "{}: aspect {} outside [{}, {}]",
-                spec.name,
+                placed.id,
                 placed.aspect(),
                 spec.min_aspect,
                 spec.max_aspect
@@ -147,10 +150,57 @@ proptest! {
             prop_assert!(
                 (placed.area() - spec.area).abs() < 1e-9 * spec.area.max(1.0),
                 "{}: area drifted from {} to {}",
-                spec.name,
+                placed.id,
                 spec.area,
                 placed.area()
             );
         }
+    }
+
+    #[test]
+    fn spreading_rows_and_columns_apart_keeps_every_bit(
+        cols in 1usize..6,
+        slots in vec(
+            (0.01f64..80.0, 0.2f64..1.0, 1.0f64..4.0, (0usize..4).prop_map(|h| h == 0),
+             (0usize..4).prop_map(|o| o > 0)),
+            1..30,
+        ),
+        row_gaps in vec(0usize..1_000_000, 6),
+        col_gaps in vec(0usize..1_000_000, 6),
+        far in (0usize..4).prop_map(|f| f == 0),
+    ) {
+        let Some(rp) = build(cols, &slots) else { return Ok(()) };
+        // Row r moves to r + (gaps before it), so the order of the rows
+        // and columns, and which blocks share one, stay the same; `far`
+        // also pushes the last row and column to the end of usize.
+        let spread = |gaps: &[usize], i: usize, last: usize| {
+            if far && i == last && i > 0 {
+                usize::MAX
+            } else {
+                i + gaps.iter().cycle().take(i).sum::<usize>()
+            }
+        };
+        let ids: Vec<BlockId> = (0..rp.block_count()).map(BlockId).collect();
+        let last_row = ids.iter().map(|&id| rp.position(id).0).max().unwrap_or(0);
+        let last_col = ids.iter().map(|&id| rp.position(id).1).max().unwrap_or(0);
+        let mut spread_rp = RelativePlacement::new();
+        for &id in &ids {
+            let (r, c) = rp.position(id);
+            spread_rp.add_block(
+                *rp.block(id),
+                spread(&row_gaps, r, last_row),
+                spread(&col_gaps, c, last_col),
+            );
+        }
+        let plan = rp.floorplan().expect("valid placements always solve");
+        let spread_plan = spread_rp.floorplan().expect("spread placements solve too");
+        let bits = |p: &Floorplan| {
+            let mut v = vec![p.chip_width().to_bits(), p.chip_height().to_bits()];
+            for b in p.blocks() {
+                v.extend([b.x, b.y, b.width, b.height].map(f64::to_bits));
+            }
+            v
+        };
+        prop_assert_eq!(bits(&plan), bits(&spread_plan));
     }
 }

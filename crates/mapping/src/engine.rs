@@ -52,17 +52,29 @@
 //!    accumulators and their new paths re-added, yielding the
 //!    candidate's loads, switch power and hop mass without touching the
 //!    other `|E_app|` commodities;
-//! 3. **load-dependent routing** (Dijkstra min-load `MP`, min-max
+//! 3. a **switch-cut pre-bound**, when bandwidth is enforced: every
+//!    commodity that ejects at switch `s` but injects elsewhere enters
+//!    `s` over one of its network in-links, under any routing function,
+//!    so the busiest in-link carries at least that demand over the
+//!    in-degree (out-links likewise). The base's per-switch demands are
+//!    updated by the incident commodities only, and a swap whose bound
+//!    certainly overloads a link (and, against an infeasible incumbent,
+//!    clearly exceeds its max load) is dropped before any routing: its
+//!    bounded evaluation would abandon it by the last commodity anyway;
+//! 4. **load-dependent routing** (Dijkstra min-load `MP`, min-max
 //!    split `SM`/`SA`) falls back to a full evaluation, but one with an
 //!    **early-exit bound**: after every routed commodity the partial
 //!    cost plus an optimistic bound for the unrouted suffix is compared
 //!    against the incumbent — the evaluation is abandoned the moment it
-//!    can no longer win. As in the paper's Fig. 5, routing comes before
-//!    the floorplan, so only a candidate that finishes routing pays for
-//!    its layout, floorplan solve and area check. The exception is
-//!    MinPower against a feasible incumbent: its bound prices link
-//!    power by the candidate's link lengths, so it solves the floorplan
-//!    first.
+//!    can no longer win. Under MinPath the commodities before the first
+//!    one incident to the swap reuse the base's routes (**routed-prefix
+//!    reuse**): their endpoints and the loads they see are the base's,
+//!    so Dijkstra would find the same paths. As in the paper's Fig. 5,
+//!    routing comes before the floorplan, so only a candidate that
+//!    finishes routing pays for its layout, floorplan solve and area
+//!    check. The exception is MinPower against a feasible incumbent:
+//!    its bound prices link power by the candidate's link lengths, so it
+//!    solves the floorplan first.
 //!
 //! Pruning is *sound*, never heuristic: a swap is only abandoned when a
 //! margin-guarded lower bound proves it ranks strictly worse than an
@@ -121,6 +133,12 @@ const PRUNE_MARGIN: f64 = 1e-9;
 fn clearly_above(bound: f64, target: f64) -> bool {
     bound > target * (1.0 + PRUNE_MARGIN) + f64::MIN_POSITIVE
 }
+
+/// The switch-cut pre-bound's margin, `PRUNE_MARGIN` taken twice: once
+/// for the drift of its demand sums, once for that of the loads the
+/// bounded evaluation checks, so a swap the cut drops is one whose
+/// bounded evaluation would have returned `None`.
+const CUT_MARGIN: f64 = (1.0 + PRUNE_MARGIN) * (1.0 + PRUNE_MARGIN);
 
 /// Relative slack on link-capacity checks — the same `1 + 1e-9` factor
 /// the reference evaluator applies, shared between the report's
@@ -727,8 +745,9 @@ impl RouteTable {
 
 /// Reusable per-worker buffers for one candidate evaluation. After the
 /// first use every steady-state evaluation routes its commodities
-/// without touching the allocator (the floorplan solve still builds its
-/// block list; see the crate README).
+/// without touching the allocator. A candidate that reaches its
+/// floorplan allocates only block-count-sized vectors: no names, no
+/// map, nothing sized by a grid coordinate.
 #[derive(Debug)]
 pub struct EvalScratch {
     link_loads: Vec<f64>,
@@ -757,6 +776,9 @@ pub struct EvalScratch {
     /// length of the current candidate floorplan (MinPower floor).
     out_min: Vec<f64>,
     in_min: Vec<f64>,
+    /// Switch-cut pre-bound: per-node `[in, out]` demand deltas of the
+    /// candidate swap, with the nodes they touch in `touched_nodes`.
+    cut_delta: Vec<[f64; 2]>,
 }
 
 impl EvalScratch {
@@ -780,6 +802,7 @@ impl EvalScratch {
             len_suffix: Vec::new(),
             out_min: vec![0.0; node_count],
             in_min: vec![0.0; node_count],
+            cut_delta: vec![[0.0; 2]; node_count],
         }
     }
 }
@@ -827,6 +850,9 @@ pub struct EvalEngine<'a> {
     /// the last network link of any route enters the destination's
     /// egress switch.
     egress: Vec<u32>,
+    /// Node-indexed `[in, out]` network-link cuts (switch-cut
+    /// pre-bound).
+    cuts: Vec<[Cut; 2]>,
     /// Link power per MB/s per mm of length.
     link_rate_mm: f64,
     /// Total commodity bandwidth (the avg-hops denominator).
@@ -871,6 +897,14 @@ impl<'a> EvalEngine<'a> {
         let design_area = (switch_area_total + app.total_core_area()) / constraints.utilization;
         let edge_capacity: Vec<f64> = g.edges().map(|(_, e)| e.capacity).collect();
         let net_edge: Vec<bool> = g.edges().map(|(_, e)| e.is_network_link()).collect();
+        let mut cuts = vec![[Cut::default(); 2]; g.node_count()];
+        for (_, e) in g.edges().filter(|(_, e)| e.is_network_link()) {
+            for (node, dir) in [(e.dst, CUT_IN), (e.src, CUT_OUT)] {
+                let cut = &mut cuts[node.index()][dir];
+                cut.links += 1.0;
+                cut.max_capacity = cut.max_capacity.max(e.capacity);
+            }
+        }
         let commodities = app.commodities();
         let mut core_commodities = vec![Vec::new(); app.core_count()];
         let mut total_bw_all = 0.0f64;
@@ -913,6 +947,7 @@ impl<'a> EvalEngine<'a> {
             rate_walk,
             ingress,
             egress,
+            cuts,
             link_rate_mm: lib.link_power(1.0, 1.0),
             total_bw_all,
             switch_count: g.switch_count(),
@@ -1287,9 +1322,11 @@ impl<'a> EvalEngine<'a> {
 
     /// Builds the persistent base-placement state one delta-sweep pass
     /// works against: link-load and switch-traffic accumulators, the
-    /// base switch power, the bandwidth-weighted hop mass, and the
-    /// optimistic mass totals the pre-bound differentiates. `None` if
-    /// the placement is unroutable (its report could then not exist).
+    /// base switch power, the bandwidth-weighted hop mass, the
+    /// optimistic mass totals the pre-bound differentiates, the
+    /// per-switch cut demands and, under MinPath, every commodity's
+    /// route. `None` if the placement is unroutable (its report could
+    /// then not exist).
     fn sweep_base(
         &self,
         placement: &Placement,
@@ -1301,10 +1338,22 @@ impl<'a> EvalEngine<'a> {
         let mut bw_hops = 0.0f64;
         let mut min_mass = 0.0f64;
         let mut rate_mass = 0.0f64;
+        let mut routes = Vec::new();
+        let mut route_ends = Vec::new();
+        let mut cut_demand = vec![[0.0f64; 2]; self.g.node_count()];
         for c in &self.commodities {
             let src = placement.node_of(c.src);
             let dst = placement.node_of(c.dst);
             let hops = self.route_cached(src, dst, c.bandwidth, scratch)?;
+            if self.routing == RoutingFunction::MinPath {
+                routes.extend_from_slice(&scratch.path);
+                route_ends.push(routes.len());
+            }
+            if let Some(ends) = self.cut_ends(src, dst) {
+                for dir in [CUT_IN, CUT_OUT] {
+                    cut_demand[ends[dir]][dir] += c.bandwidth;
+                }
+            }
             bw_hops += c.bandwidth * hops;
             let m = self.pair_min_switches(src, dst)?;
             min_mass += c.bandwidth * m;
@@ -1327,35 +1376,55 @@ impl<'a> EvalEngine<'a> {
             rate_mass,
             switch_power,
             link_loads: scratch.link_loads.clone(),
+            routes,
+            route_ends,
+            cut_demand,
         })
     }
 
-    /// The delta scorer: scores one candidate swap against the pass
-    /// incumbent — pre-bound, then (for dimension-ordered routing) the
-    /// exact incremental delta, then, only for survivors, the bounded
-    /// full evaluation. `None` when the swap is skipped, pruned or
-    /// errors.
-    fn score_swap(
+    /// The switches a commodity from `src` to `dst` must enter and
+    /// leave over network links, `[egress, ingress]` (indexed like
+    /// [`CUT_IN`] / [`CUT_OUT`]); `None` when one switch serves both
+    /// ends, so the commodity may cross no network link at all.
+    fn cut_ends(&self, src: NodeId, dst: NodeId) -> Option<[usize; 2]> {
+        let (ingress, egress) = (self.ingress[src.index()], self.egress[dst.index()]);
+        (ingress != egress && ingress != u32::MAX && egress != u32::MAX)
+            .then_some([egress as usize, ingress as usize])
+    }
+
+    /// How many `(switch, direction)` cuts of the pass base already
+    /// fire against `inc` (zero when bandwidth is not enforced): a swap
+    /// that leaves one of them untouched keeps it firing.
+    fn base_cut_hot(&self, base: &SweepBase, inc: &Incumbent) -> usize {
+        if !self.constraints.enforce_bandwidth {
+            return 0;
+        }
+        let floor = inc.cut_floor();
+        self.cuts
+            .iter()
+            .zip(&base.cut_demand)
+            .map(|(cuts, demand)| {
+                [CUT_IN, CUT_OUT]
+                    .into_iter()
+                    .filter(|&dir| cuts[dir].fires(demand[dir], floor))
+                    .count()
+            })
+            .sum()
+    }
+
+    /// Fills `scratch.incident` with the commodities a swap of the
+    /// vertices `a` and `b` of `local` re-routes: everything incident
+    /// to either occupant, a commodity between them once. `false` when
+    /// both vertices are empty (the swap is skipped).
+    fn collect_incident(
         &self,
-        local: &mut Placement,
+        local: &Placement,
         a: NodeId,
         b: NodeId,
-        ctx: &PassCtx<'_>,
         scratch: &mut EvalScratch,
-    ) -> Option<CostReport> {
-        let PassCtx {
-            base,
-            inc,
-            objective,
-        } = *ctx;
+    ) -> bool {
         let u = local.core_at(a);
         let v = local.core_at(b);
-        if u.is_none() && v.is_none() {
-            return None;
-        }
-        // The commodities the swap re-routes: everything incident to
-        // either occupant (a commodity between them appears in both
-        // lists and is taken once).
         scratch.incident.clear();
         if let Some(u) = u {
             scratch
@@ -1371,19 +1440,107 @@ impl<'a> EvalEngine<'a> {
                 scratch.incident.push(ci);
             }
         }
+        u.is_some() || v.is_some()
+    }
+
+    /// The switch-cut pre-bound of the swap of `a` and `b` (the
+    /// commodities in `scratch.incident`): whether some switch's cut
+    /// demand under the swapped placement certainly overloads one of
+    /// its links, and, against an infeasible incumbent, clearly exceeds
+    /// the incumbent's max load. The base demands are updated by the
+    /// incident commodities only; untouched cuts fire as counted in
+    /// `ctx.cut_hot`. Always `false` when bandwidth is not enforced.
+    fn switch_cut_prunes(
+        &self,
+        local: &Placement,
+        a: NodeId,
+        b: NodeId,
+        ctx: &PassCtx<'_>,
+        scratch: &mut EvalScratch,
+    ) -> bool {
+        if !self.constraints.enforce_bandwidth {
+            return false;
+        }
+        let PassCtx { base, inc, .. } = *ctx;
+        let EvalScratch {
+            incident,
+            touched_nodes,
+            cut_delta,
+            ..
+        } = scratch;
+        debug_assert!(touched_nodes.is_empty());
+        let mut moved_bw = 0.0f64;
+        for &ci in incident.iter() {
+            let c = &self.commodities[ci as usize];
+            let (os, od) = (local.node_of(c.src), local.node_of(c.dst));
+            let old = self.cut_ends(os, od);
+            let new = self.cut_ends(swapped(a, b, os), swapped(a, b, od));
+            moved_bw += c.bandwidth;
+            for dir in [CUT_IN, CUT_OUT] {
+                let (from, to) = (old.map(|e| e[dir]), new.map(|e| e[dir]));
+                if from == to {
+                    continue;
+                }
+                if let Some(s) = from {
+                    cut_delta[s][dir] -= c.bandwidth;
+                    touched_nodes.push(s);
+                }
+                if let Some(s) = to {
+                    cut_delta[s][dir] += c.bandwidth;
+                    touched_nodes.push(s);
+                }
+            }
+        }
+        touched_nodes.sort_unstable();
+        touched_nodes.dedup();
+        let floor = inc.cut_floor();
+        let mut touched_hot = 0usize;
+        let mut fires = false;
+        for &s in touched_nodes.iter() {
+            for dir in [CUT_IN, CUT_OUT] {
+                let delta = std::mem::take(&mut cut_delta[s][dir]);
+                let (cut, demand) = (self.cuts[s][dir], base.cut_demand[s][dir]);
+                touched_hot += cut.fires(demand, floor) as usize;
+                // The base demand sums up to n commodities and the delta
+                // up to n more, and the delta may cancel most of the
+                // base: bound the rounding by the magnitudes summed.
+                let drift =
+                    (self.commodities.len() + 1) as f64 * f64::EPSILON * (demand + moved_bw);
+                fires |= cut.fires(demand + delta - drift, floor);
+            }
+        }
+        touched_nodes.clear();
+        fires || ctx.cut_hot > touched_hot
+    }
+
+    /// The delta scorer: scores one candidate swap against the pass
+    /// incumbent — pre-bound, then (for dimension-ordered routing) the
+    /// exact incremental delta, then the switch-cut pre-bound, then,
+    /// only for survivors, the bounded full evaluation, which reuses the
+    /// base's routes up to the swap's first incident commodity. `None`
+    /// when the swap is skipped, pruned or errors.
+    fn score_swap(
+        &self,
+        local: &mut Placement,
+        a: NodeId,
+        b: NodeId,
+        ctx: &PassCtx<'_>,
+        scratch: &mut EvalScratch,
+    ) -> Option<CostReport> {
+        let PassCtx {
+            base,
+            inc,
+            objective,
+            ..
+        } = *ctx;
+        if !self.collect_incident(local, a, b, scratch) {
+            return None;
+        }
 
         // Pre-bound: subtract the incident commodities' optimistic
         // masses under the base endpoints, re-add them under the
         // swapped endpoints — O(deg) work, no routing.
-        let swapped = |n: NodeId| {
-            if n == a {
-                b
-            } else if n == b {
-                a
-            } else {
-                n
-            }
-        };
+        let swapped = |n: NodeId| swapped(a, b, n);
         // Only the delay and power objectives have an O(deg) mass
         // bound, and only against a feasible incumbent; otherwise the
         // loop is skipped entirely (unreachable new pairs are then
@@ -1430,11 +1587,26 @@ impl<'a> EvalEngine<'a> {
             }
         }
 
+        if self.switch_cut_prunes(local, a, b, ctx, scratch) {
+            return None;
+        }
+
         // Survivor: full evaluation (identical arithmetic to the
         // exhaustive sweep) with the mid-evaluation early-exit bound.
+        let first_incident = scratch
+            .incident
+            .iter()
+            .min()
+            .map_or(self.commodities.len(), |&ci| ci as usize);
         let swapped_ok = local.swap_nodes(a, b);
         debug_assert!(swapped_ok, "occupancy was checked above");
-        let report = self.evaluate_bounded(local, scratch, &inc, objective);
+        let report = self.evaluate_bounded(
+            local,
+            scratch,
+            &inc,
+            objective,
+            Some((base, first_incident)),
+        );
         local.swap_nodes(a, b);
         report
     }
@@ -1456,6 +1628,7 @@ impl<'a> EvalEngine<'a> {
             base,
             inc,
             objective,
+            ..
         } = *ctx;
         let EvalScratch {
             incident,
@@ -1576,12 +1749,20 @@ impl<'a> EvalEngine<'a> {
     /// abandoned as provably unable to win, or errored (the search
     /// skips it either way); the order changes what an abandoned
     /// candidate costs, never which candidates return `None`.
+    ///
+    /// `prefix` is the pass base and the index of the candidate's first
+    /// incident commodity. Under MinPath every commodity before it has
+    /// the base's endpoints and meets the base's loads, so its base
+    /// route is copied instead of searched; the accumulation and checks
+    /// that follow are unchanged, so the result is bit-identical to a
+    /// call without `prefix`, which routes everything.
     fn evaluate_bounded(
         &self,
         placement: &Placement,
         scratch: &mut EvalScratch,
         inc: &Incumbent,
         objective: Objective,
+        prefix: Option<(&SweepBase, usize)>,
     ) -> Option<CostReport> {
         // Optimistic suffix masses in routing order: after commodity i,
         // the unrouted remainder contributes at least `min_suffix[i+1]`
@@ -1670,6 +1851,7 @@ impl<'a> EvalEngine<'a> {
             }
         }
 
+        let reuse = prefix.filter(|_| self.routing == RoutingFunction::MinPath);
         scratch.link_loads.fill(0.0);
         scratch.switch_traffic.fill(0.0);
         let mut totals = RouteTotals::default();
@@ -1678,7 +1860,14 @@ impl<'a> EvalEngine<'a> {
             let c = self.commodities[i];
             let src = placement.node_of(c.src);
             let dst = placement.node_of(c.dst);
-            let hops = self.route_cached(src, dst, c.bandwidth, scratch)?;
+            let hops = match reuse {
+                Some((base, first_incident)) if i < first_incident => {
+                    scratch.path.clear();
+                    scratch.path.extend_from_slice(base.route(i));
+                    self.accumulate_dynamic(1.0, c.bandwidth, scratch)
+                }
+                _ => self.route_cached(src, dst, c.bandwidth, scratch)?,
+            };
             totals.add(c.bandwidth, hops);
             self.track_commodity(src, dst, c.bandwidth, scratch, &mut track);
             let certainly_infeasible = track.over && self.constraints.enforce_bandwidth;
@@ -1948,10 +2137,14 @@ impl<'a> EvalEngine<'a> {
         let mut best: Option<(usize, CostReport)> = None;
         let mut evaluated = 0usize;
         for (block_idx, block) in pairs.chunks(BLOCK).enumerate() {
-            let ctx = base.as_ref().map(|base| PassCtx {
-                base,
-                inc: Incumbent::of(best.as_ref().map_or(base_report, |(_, r)| r), objective),
-                objective,
+            let ctx = base.as_ref().map(|base| {
+                let inc = Incumbent::of(best.as_ref().map_or(base_report, |(_, r)| r), objective);
+                PassCtx {
+                    base,
+                    inc,
+                    objective,
+                    cut_hot: self.base_cut_hot(base, &inc),
+                }
             });
             let ctx = ctx.as_ref();
             let score = move |pairs: &[(NodeId, NodeId)],
@@ -2052,19 +2245,63 @@ impl Incumbent {
             load: report.max_link_load,
         }
     }
+
+    /// The load a switch-cut bound must also exceed: none against a
+    /// feasible incumbent (certain overload alone abandons a candidate
+    /// then), the incumbent's max load with the doubled margin
+    /// otherwise.
+    fn cut_floor(&self) -> f64 {
+        if self.feasible {
+            f64::NEG_INFINITY
+        } else {
+            self.load * CUT_MARGIN + f64::MIN_POSITIVE
+        }
+    }
 }
 
 /// Everything a block of the delta sweep scores its candidates
-/// against: the pass base state and the block-frozen incumbent rank.
+/// against: the pass base state, the block-frozen incumbent rank, and
+/// how many base switch cuts already fire against it.
 #[derive(Clone, Copy)]
 struct PassCtx<'a> {
     base: &'a SweepBase,
     inc: Incumbent,
     objective: Objective,
+    cut_hot: usize,
+}
+
+/// Index of a switch's network in-link cut in [`Cut`] pairs.
+const CUT_IN: usize = 0;
+/// Index of a switch's network out-link cut in [`Cut`] pairs.
+const CUT_OUT: usize = 1;
+
+/// One side of a switch's network cut — its in-links or its out-links.
+#[derive(Debug, Clone, Copy, Default)]
+struct Cut {
+    /// How many network links cross it.
+    links: f64,
+    /// The largest capacity among them.
+    max_capacity: f64,
+}
+
+impl Cut {
+    /// Whether `demand` MB/s through this cut certainly overloads one of
+    /// its links: the busiest carries at least `demand / links`, which
+    /// must clear the largest capacity and `floor` with [`CUT_MARGIN`].
+    fn fires(self, demand: f64, floor: f64) -> bool {
+        if self.links == 0.0 {
+            return false;
+        }
+        let bound = demand / self.links;
+        bound.is_finite()
+            && bound > self.max_capacity * BANDWIDTH_TOLERANCE * CUT_MARGIN
+            && bound > floor
+    }
 }
 
 /// Persistent accumulators of the delta sweep's base placement — built
-/// once per pass, shared read-only by every candidate's delta.
+/// once per pass, shared read-only by every candidate's delta and by
+/// the sweep's workers.
 #[derive(Debug)]
 struct SweepBase {
     /// Bandwidth-weighted switch hops of the base placement.
@@ -2077,6 +2314,21 @@ struct SweepBase {
     switch_power: f64,
     /// Per-edge link loads of the base placement.
     link_loads: Vec<f64>,
+    /// MinPath only (empty otherwise): every commodity's base route,
+    /// concatenated in routing order, and where each one ends.
+    routes: Vec<NodeId>,
+    route_ends: Vec<usize>,
+    /// Per-node `[in, out]` cut demand: the bandwidth of the commodities
+    /// that must enter (leave) the switch over a network link.
+    cut_demand: Vec<[f64; 2]>,
+}
+
+impl SweepBase {
+    /// Commodity `i`'s base route (MinPath passes only).
+    fn route(&self, i: usize) -> &[NodeId] {
+        let start = if i == 0 { 0 } else { self.route_ends[i - 1] };
+        &self.routes[start..self.route_ends[i]]
+    }
 }
 
 /// Partial-cost tracker of one bounded evaluation. All fields are
@@ -2130,6 +2382,17 @@ enum DeltaVerdict {
     Prune,
     /// Might win: run the (bounded) full evaluation.
     Evaluate,
+}
+
+/// Where the swap of vertices `a` and `b` moves the occupant of `n`.
+fn swapped(a: NodeId, b: NodeId, n: NodeId) -> NodeId {
+    if n == a {
+        b
+    } else if n == b {
+        a
+    } else {
+        n
+    }
 }
 
 /// How many sweep workers to spawn for `pairs` candidate swaps: one per
@@ -2375,7 +2638,7 @@ mod tests {
             };
             let inc = Incumbent::of(&incumbent, objective);
             let full = engine.evaluate_report(&candidate, &mut scratch);
-            let bounded = engine.evaluate_bounded(&candidate, &mut scratch, &inc, objective);
+            let bounded = engine.evaluate_bounded(&candidate, &mut scratch, &inc, objective, None);
             if let Some(r) = &bounded {
                 let full = full.as_ref().expect("a completed bounded evaluation routed");
                 // Debug prints each float's shortest round-trip form,
@@ -2393,6 +2656,135 @@ mod tests {
                     "{routing} {objective}: a winning candidate was abandoned"
                 );
             }
+        }
+    }
+
+    /// The two-tier custom NoC of `examples/custom_topology.rs`: a
+    /// 1 GB/s spine between two hubs with two core ports each, 500 MB/s
+    /// spokes to two leaves with one port each.
+    fn two_tier() -> TopologyGraph {
+        let mut b = sunmap_topology::CustomTopologyBuilder::new("two-tier");
+        let leaf_a = b.add_switch_at(0, 0);
+        let hub_a = b.add_switch_at(0, 1);
+        let hub_b = b.add_switch_at(0, 2);
+        let leaf_b = b.add_switch_at(0, 3);
+        b.add_link(hub_a, hub_b, 1000.0).unwrap();
+        b.add_link(leaf_a, hub_a, 500.0).unwrap();
+        b.add_link(hub_b, leaf_b, 500.0).unwrap();
+        for sw in [hub_a, hub_a, hub_b, hub_b, leaf_a, leaf_b] {
+            b.add_port(sw).unwrap();
+        }
+        b.build().unwrap()
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(512))]
+
+        /// The two exact cuts of the delta scorer, on a random base
+        /// placement and swap pair: VOPD on the 12-core library (at 500
+        /// or, so that more cuts fire, 150 MB/s), and the DSP filter on
+        /// a star and on the two-tier custom NoC (whose hubs hold two
+        /// cores each, so some commodities inject and eject at one
+        /// switch). Every routing function and objective, incumbents
+        /// from the base itself, as at the start of a pass, or from
+        /// another random placement (feasible or not), their max load
+        /// scaled by 0.2–1.2, default and relaxed bandwidth. With the
+        /// pass base, the bounded evaluation returns what it returns
+        /// without it, bit for bit (routed-prefix reuse); whenever the
+        /// switch cut fires, the bounded evaluation returns `None`; and
+        /// under relaxed bandwidth the cut never fires.
+        #[test]
+        fn prefix_reuse_and_switch_cut_are_exact(
+            topology in 0usize..7,
+            routing in 0usize..4,
+            objective in 0usize..4,
+            flags in (0usize..2, 0usize..2, 0usize..2, 0.2f64..1.2),
+            base_keys in proptest::collection::vec(0u64..u64::MAX, 16),
+            incumbent_keys in proptest::collection::vec(0u64..u64::MAX, 16),
+            pair in (0usize..16, 0usize..15),
+        ) {
+            let (low_capacity, relaxed, incumbent_is_base, load_scale) =
+                (flags.0 == 1, flags.1 == 1, flags.2 == 1, flags.3);
+            let capacity = if low_capacity { 150.0 } else { 500.0 };
+            let (g, app) = match topology {
+                0..=4 => (
+                    builders::standard_library(12, capacity).unwrap().swap_remove(topology),
+                    benchmarks::vopd(),
+                ),
+                5 => (builders::star(6, 500.0).unwrap(), benchmarks::dsp_filter()),
+                _ => (two_tier(), benchmarks::dsp_filter()),
+            };
+            let routing = RoutingFunction::ALL[routing];
+            let objective = [
+                Objective::MinDelay,
+                Objective::MinPower,
+                Objective::MinArea,
+                Objective::MinBandwidth,
+            ][objective];
+            let constraints = if relaxed {
+                Constraints::relaxed_bandwidth()
+            } else {
+                Constraints::default()
+            };
+            let (table, mut lib, _) = engine_fixture(&g, routing);
+            let engine = EvalEngine::new(&g, &app, &table, routing, &mut lib, &constraints);
+            let mut scratch = engine.new_scratch();
+            let base_placement = keyed_placement(&g, app.core_count(), &base_keys);
+            let incumbent_keys = if incumbent_is_base {
+                &base_keys
+            } else {
+                &incumbent_keys
+            };
+            let incumbent = keyed_placement(&g, app.core_count(), incumbent_keys);
+            let Ok(incumbent) = engine.evaluate_report(&incumbent, &mut scratch) else {
+                return Err(TestCaseError::reject("unroutable incumbent"));
+            };
+            // A scaled max load stands for a better incumbent, which is
+            // what lets the cut fire against infeasible ones.
+            let inc = Incumbent {
+                load: incumbent.max_link_load * load_scale,
+                ..Incumbent::of(&incumbent, objective)
+            };
+            let Some(base) = engine.sweep_base(&base_placement, objective, &mut scratch) else {
+                return Err(TestCaseError::reject("unroutable base"));
+            };
+            let nodes = g.mappable_nodes();
+            let m = nodes.len();
+            let (a, b) = (nodes[pair.0 % m], nodes[(pair.0 + 1 + pair.1 % (m - 1)) % m]);
+            if !engine.collect_incident(&base_placement, a, b, &mut scratch) {
+                return Ok(());
+            }
+            let ctx = PassCtx {
+                base: &base,
+                inc,
+                objective,
+                cut_hot: engine.base_cut_hot(&base, &inc),
+            };
+            let cut = engine.switch_cut_prunes(&base_placement, a, b, &ctx, &mut scratch);
+            let first_incident = scratch
+                .incident
+                .iter()
+                .min()
+                .map_or(engine.commodities.len(), |&ci| ci as usize);
+            let mut candidate = base_placement.clone();
+            prop_assert!(candidate.swap_nodes(a, b));
+            let reused = engine.evaluate_bounded(
+                &candidate,
+                &mut scratch,
+                &inc,
+                objective,
+                Some((&base, first_incident)),
+            );
+            let routed = engine.evaluate_bounded(&candidate, &mut scratch, &inc, objective, None);
+            // Debug prints each float's shortest round-trip form, so
+            // equal text is equal bits.
+            prop_assert_eq!(format!("{reused:?}"), format!("{routed:?}"));
+            prop_assert!(
+                !cut || routed.is_none(),
+                "{} {routing} {objective}: the switch cut dropped a candidate that completes",
+                g.kind()
+            );
+            prop_assert!(!(relaxed && cut), "the switch cut fired under relaxed bandwidth");
         }
     }
 

@@ -58,6 +58,12 @@ impl LayoutBlocks {
 /// with per-switch block areas in `switch_areas` (mm², from the area
 /// library), indexed by node id.
 ///
+/// This runs once for every candidate that reaches its floorplan, so it
+/// builds no strings: blocks carry only geometry, and
+/// [`LayoutBlocks::switch_block`] / [`LayoutBlocks::core_block`] are
+/// the way back from a vertex or core to its block. The reference
+/// [`crate::evaluate`] and the engine share it and the one solver.
+///
 /// # Panics
 ///
 /// Panics if `switch_areas` is shorter than the graph's node count —
@@ -118,7 +124,7 @@ fn direct_layout(
     for s in g.switches() {
         let (row, col) = slot(g.coords(s));
         let area = switch_areas[s.index()];
-        let id = rp.add_block(BlockSpec::soft(format!("sw_{s}"), area), row, 2 * col + 1);
+        let id = rp.add_block(BlockSpec::soft(area), row, 2 * col + 1);
         switch_block[s.index()] = Some(id);
         if let Some(core) = placement.core_at(s) {
             let spec = core_spec(app, core);
@@ -136,9 +142,9 @@ fn direct_layout(
 fn core_spec(app: &CoreGraph, core: CoreId) -> BlockSpec {
     let c = app.core(core);
     if c.soft {
-        BlockSpec::soft(c.name.clone(), c.area)
+        BlockSpec::soft(c.area)
     } else {
-        BlockSpec::hard(c.name.clone(), c.area)
+        BlockSpec::hard(c.area)
     }
 }
 
@@ -201,11 +207,7 @@ fn indirect_layout(
         };
         let col = left_cols + stage;
         let row = index * rows / stage_size[stage];
-        let id = rp.add_block(
-            BlockSpec::soft(format!("sw_{s}"), switch_areas[s.index()]),
-            row,
-            col,
-        );
+        let id = rp.add_block(BlockSpec::soft(switch_areas[s.index()]), row, col);
         switch_block[s.index()] = Some(id);
     }
     LayoutBlocks {
@@ -219,6 +221,10 @@ fn indirect_layout(
 /// their builder-declared grid slots; each switch's mapped cores stack
 /// in the column to its left. Rows are expanded by the largest port
 /// count so stacked cores never collide with neighbouring tiles.
+///
+/// The declared rows and columns are ranked among those in use before
+/// they are scaled, so a slot anywhere in `usize` cannot overflow, and
+/// the floorplan (which reads only their order) stays the same.
 fn custom_layout(
     g: &TopologyGraph,
     app: &CoreGraph,
@@ -232,6 +238,22 @@ fn custom_layout(
         }
     }
     let expand = ports_of.iter().map(Vec::len).max().unwrap_or(1).max(1);
+    let (mut rows, mut cols): (Vec<usize>, Vec<usize>) = g
+        .switches()
+        .filter_map(|s| match g.coords(s) {
+            NodeCoords::Grid { row, col } => Some((row, col)),
+            _ => None,
+        })
+        .unzip();
+    for declared in [&mut rows, &mut cols] {
+        declared.sort_unstable();
+        declared.dedup();
+    }
+    let rank = |declared: &[usize], x: usize| {
+        declared
+            .binary_search(&x)
+            .expect("every declared slot was ranked")
+    };
 
     let mut rp = RelativePlacement::new();
     let mut switch_block = vec![None; g.node_count()];
@@ -240,8 +262,9 @@ fn custom_layout(
         let NodeCoords::Grid { row, col } = g.coords(s) else {
             continue;
         };
+        let (row, col) = (rank(&rows, row), rank(&cols, col));
         let id = rp.add_block(
-            BlockSpec::soft(format!("sw_{s}"), switch_areas[s.index()]),
+            BlockSpec::soft(switch_areas[s.index()]),
             row * expand,
             2 * col + 1,
         );
@@ -266,6 +289,7 @@ fn custom_layout(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::{Mapper, MapperConfig, Objective, RoutingFunction};
     use sunmap_power::{switch_area, SwitchConfig, Technology};
     use sunmap_topology::builders;
     use sunmap_traffic::benchmarks;
@@ -339,6 +363,30 @@ mod tests {
         lb.placement
             .floorplan()
             .expect("hypercube layout floorplans");
+    }
+
+    /// A custom switch may sit at any declared grid slot: a far one
+    /// maps to the report of an adjacent one, because the layout ranks
+    /// the declared rows and columns before scaling them and the
+    /// floorplan never allocates by coordinate.
+    #[test]
+    fn far_custom_slots_map_like_adjacent_ones() {
+        let report = |far: usize| {
+            let mut b = sunmap_topology::CustomTopologyBuilder::new("far");
+            let near = b.add_switch_at(0, 0);
+            let far = b.add_switch_at(far, far);
+            b.add_link(near, far, 1000.0).unwrap();
+            for sw in [near, near, near, far, far, far] {
+                b.add_port(sw).unwrap();
+            }
+            let g = b.build().unwrap();
+            let app = benchmarks::dsp_filter();
+            let config = MapperConfig::new(RoutingFunction::MinPath, Objective::MinDelay);
+            format!("{:?}", Mapper::new(&g, &app, config).run())
+        };
+        let adjacent = report(1);
+        assert_eq!(report(1 << 40), adjacent);
+        assert_eq!(report(usize::MAX), adjacent);
     }
 
     #[test]

@@ -417,21 +417,31 @@ fn delta_pruned_matches_exhaustive_on_64_core_synthetic_mesh() {
     }
 }
 
-/// The strict-bandwidth sibling of the case above: at 500 MB/s this
-/// 64-core mesh search ends infeasible, so every delta-pruned candidate
-/// is scored against an infeasible incumbent (no pre-bound, only the
-/// mid-routing max-load exit). Both scorers must still settle on the
+/// The strict-bandwidth sibling of the case above: at 500 MB/s these
+/// 64-core mesh and Clos searches end infeasible, so every delta-pruned
+/// candidate is scored against an infeasible incumbent (no pre-bound;
+/// the switch-cut pre-bound, routed-prefix reuse and the mid-routing
+/// max-load exit). On the Clos the switch cut drops about half of the
+/// candidates before routing. Both scorers must still settle on the
 /// same least-infeasible report, the delta scorer after fewer full
 /// evaluations.
 #[test]
-fn delta_pruned_matches_exhaustive_on_infeasible_64_core_synthetic_mesh() {
-    use sunmap_topology::builders;
+fn delta_pruned_matches_exhaustive_on_infeasible_64_core_synthetic_mesh_and_clos() {
+    use sunmap_topology::{builders, TopologyKind};
     use sunmap_traffic::synthetic::SyntheticSpec;
 
     let spec: SyntheticSpec = "synth:seed=13,cores=64".parse().expect("valid spec");
     let app = spec.generate();
-    let g = builders::mesh(8, 8, 500.0).expect("mesh builds");
-    for objective in [Objective::MinDelay, Objective::MinPower] {
+    let clos = builders::standard_library(64, 500.0)
+        .expect("library builds")
+        .into_iter()
+        .find(|g| matches!(g.kind(), TopologyKind::Clos { .. }))
+        .expect("the library has a Clos");
+    let mesh = builders::mesh(8, 8, 500.0).expect("mesh builds");
+    for (g, objective) in [&mesh, &clos]
+        .into_iter()
+        .flat_map(|g| [(g, Objective::MinDelay), (g, Objective::MinPower)])
+    {
         let run = |swap_strategy| {
             let mut evaluated = 0usize;
             let config = MapperConfig {
@@ -441,21 +451,27 @@ fn delta_pruned_matches_exhaustive_on_infeasible_64_core_synthetic_mesh() {
                 swap_strategy,
                 ..MapperConfig::default()
             };
-            let result = Mapper::new(&g, &app, config).run_observed(|_| evaluated += 1);
+            let result = Mapper::new(g, &app, config).run_observed(|_| evaluated += 1);
             match result {
                 Err(MappingError::NoFeasibleMapping(best)) => (best, evaluated),
-                other => panic!("{objective}: expected NoFeasibleMapping, got {other:?}"),
+                other => panic!(
+                    "{} {objective}: expected NoFeasibleMapping, got {other:?}",
+                    g.kind()
+                ),
             }
         };
         let (full, full_evaluated) = run(SwapStrategy::Exhaustive);
         let (delta, delta_evaluated) = run(SwapStrategy::DeltaPruned);
         assert_eq!(
-            full, delta,
-            "{objective}: least-infeasible reports diverged"
+            full,
+            delta,
+            "{} {objective}: least-infeasible reports diverged",
+            g.kind()
         );
         assert!(
             delta_evaluated < full_evaluated,
-            "{objective}: pruning did not reduce evaluations"
+            "{} {objective}: pruning did not reduce evaluations",
+            g.kind()
         );
     }
 }

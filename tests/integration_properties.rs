@@ -181,7 +181,7 @@ proptest! {
             prop_assert!(a.x + a.width <= fp.chip_width() + 1e-9);
             prop_assert!(a.y + a.height <= fp.chip_height() + 1e-9);
             for b in &blocks[i + 1..] {
-                prop_assert!(!a.overlaps(b), "{} overlaps {}", a.name, b.name);
+                prop_assert!(!a.overlaps(b), "{} overlaps {}", a.id, b.id);
             }
         }
         prop_assert!(fp.utilization() > 0.0 && fp.utilization() <= 1.0 + 1e-9);
