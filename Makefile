@@ -47,8 +47,8 @@ bench-record:
 	python3 perfbench/compare.py $(BENCH_OUT)
 
 ## A/B the benchmark against a parent revision: builds perfbench with
-## BENCHMARK.json's command in a git worktree of PARENT and in the
-## working tree, runs ten pairs of every workload at its run length,
+## BENCHMARK.json's command in a git archive export of PARENT and in
+## the working tree, runs ten pairs of every workload at its run length,
 ## alternating which side goes first (about 35 minutes; keep the machine
 ## idle), prints perfbench/compare.py's verdicts and writes a
 ## sunmap-bench-record/1 file to target/bench-ab/record.json. Not part of

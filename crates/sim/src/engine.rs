@@ -2,22 +2,24 @@
 //! ([`SimEngine`]), the model parameters ([`SimConfig`]), the `Copy`
 //! flit record and the compiled [`RoutePlan`].
 //!
-//! * **flits are `Copy` records** (40 bytes: route id, hop index,
-//!   packet id, next-edge demand, timestamps, flags) instead of heap
-//!   nodes holding an `Rc<[NodeId]>` path — an engine's per-edge
-//!   ring-buffer slab is the flit pool, indexed by `edge × slot`;
+//! * **flits in the network are `Copy` records** (40 bytes: route id,
+//!   hop index, packet id, next-edge demand, timestamps, flags) instead
+//!   of heap nodes holding an `Rc<[NodeId]>` path — an engine's
+//!   per-edge ring-buffer slab is the flit pool, indexed by
+//!   `edge × slot`. Packets still waiting to inject are not flits yet:
+//!   the event engine queues one 16-byte record per packet and builds
+//!   its flits one at a time as each reaches the queue's front;
 //! * **routes are enumerated once per pair**, with the same topology
 //!   calls the [`reference`](crate::reference) engine makes, and
-//!   compiled into a [`RoutePlan`] — a flat arena of per-hop records
-//!   with the edge id, the bubble-rule space requirement and the
-//!   arrival-latency increment precomputed, so the arbitration loop
-//!   never touches the graph, never recomputes a turn axis and never
-//!   hashes a pair key.
+//!   compiled into a [`RoutePlan`] — a flat arena of 8-byte per-hop
+//!   records holding the edge id and the three facts the bubble-rule
+//!   space requirement and the arrival-latency increment derive from,
+//!   so the arbitration loop never touches the graph, never recomputes
+//!   a turn axis and never hashes a pair key.
 
 use sunmap_mapping::{Evaluation, RouteTable};
 use sunmap_topology::{
-    dimension_order, paths, AdjacencyMatrix, NodeCoords, NodeId, NodeKind, TopologyGraph,
-    TopologyKind,
+    dimension_order, paths, EdgeId, NodeCoords, NodeId, NodeKind, TopologyGraph, TopologyKind,
 };
 
 /// Per-pair cap on enumerated minimum paths for synthetic routing on
@@ -151,6 +153,8 @@ pub(crate) const NO_EDGE: u32 = u32::MAX;
 /// The edge the flit wants next and the downstream space its transfer
 /// needs are denormalised into the record when it is (re)queued, so the
 /// arbitration scan compares plain fields without touching the plan.
+/// Only the per-edge rings store flits; a terminal's backlog stores
+/// packets and builds each flit when it becomes the queue's head.
 #[derive(Debug, Clone, Copy)]
 pub(crate) struct Flit {
     pub(crate) ready_at: u64,
@@ -180,23 +184,28 @@ impl Flit {
     };
 }
 
-/// One precompiled hop of a route: everything the transfer loop needs,
-/// resolved at plan-build time.
+/// One precompiled hop of a route, resolved at plan-build time: 8
+/// bytes, the edge id and three flags. The arrival-latency increment
+/// and a head flit's space requirement derive from the flags and the
+/// two config fields the plan pins ([`RoutePlan::ready_add`],
+/// [`RoutePlan::head_space`]).
 #[derive(Debug, Clone, Copy)]
 pub(crate) struct HopStep {
     /// The directed edge this step crosses.
     pub(crate) edge: u32,
-    /// Cycles added to `ready_at` on arrival (link + downstream switch
-    /// pipeline; attach links are NI wires folded into the switch).
-    pub(crate) ready_add: u64,
-    /// Free downstream space a *head* flit needs: one packet, or two
-    /// when entering a new ring (injection or axis turn — the bubble
-    /// condition keeping torus rings deadlock-free).
-    pub(crate) head_space: u32,
+    /// The edge touches a core port: an NI wire folded into the switch,
+    /// so arrival costs no link cycle.
+    pub(crate) attach: bool,
+    /// The step enters a new ring (injection or axis turn), where a head
+    /// flit needs two packets of space — the bubble condition keeping
+    /// torus rings deadlock-free.
+    pub(crate) ring_entry: bool,
     /// Whether a flit finishing this step leaves the network at a core
     /// port (indirect-topology egress) instead of entering the buffer.
     pub(crate) eject_at_dst: bool,
 }
+
+const _: () = assert!(std::mem::size_of::<HopStep>() <= 8);
 
 /// A route in the plan: a span of [`HopStep`]s.
 #[derive(Debug, Clone, Copy)]
@@ -231,37 +240,24 @@ fn axis_of(g: &TopologyGraph, u: NodeId, v: NodeId) -> Option<u32> {
 
 impl RouteArena {
     /// Compiles the route through `nodes`, resolving each window's
-    /// directed edge through `adj`, and returns its route id.
+    /// directed edge through `edge_of`, and returns its route id.
     fn push_route(
         &mut self,
         g: &TopologyGraph,
-        adj: &AdjacencyMatrix,
-        config: &SimConfig,
+        edge_of: impl Fn(NodeId, NodeId) -> Option<EdgeId>,
         nodes: &[NodeId],
     ) -> u32 {
-        let pf = config.packet_flits as u32;
         let first_step = self.steps.len() as u32;
         let hops = nodes.len() - 1;
         for (i, w) in nodes.windows(2).enumerate() {
             let (u, v) = (w[0], w[1]);
-            let edge = adj
-                .edge_between(u, v)
-                .expect("routes follow topology edges");
-            let attach =
-                g.node_kind(u) == NodeKind::CorePort || g.node_kind(v) == NodeKind::CorePort;
-            let ready_add = if attach {
-                config.switch_pipeline
-            } else {
-                1 + config.switch_pipeline
-            };
-            let ring_entry = i == 0 || axis_of(g, nodes[i - 1], u) != axis_of(g, u, v);
-            let head_space = if ring_entry { 2 * pf } else { pf };
-            let eject_at_dst = i + 1 == hops && g.node_kind(v) == NodeKind::CorePort;
+            let edge = edge_of(u, v).expect("routes follow topology edges");
             self.steps.push(HopStep {
                 edge: edge.index() as u32,
-                ready_add,
-                head_space,
-                eject_at_dst,
+                attach: g.node_kind(u) == NodeKind::CorePort
+                    || g.node_kind(v) == NodeKind::CorePort,
+                ring_entry: i == 0 || axis_of(g, nodes[i - 1], u) != axis_of(g, u, v),
+                eject_at_dst: i + 1 == hops && g.node_kind(v) == NodeKind::CorePort,
             });
         }
         self.routes.push(RouteSpan {
@@ -295,6 +291,9 @@ pub struct RoutePlan {
     /// Direct topologies take the single dimension-ordered route; on
     /// indirect ones the simulator picks uniformly among the set.
     pub(crate) direct: bool,
+    /// The config fields every [`HopStep`]'s derived timing and space
+    /// read ([`RoutePlan::ready_add`], [`RoutePlan::head_space`]);
+    /// [`RoutePlan::compatible`] pins both.
     packet_flits: usize,
     switch_pipeline: u64,
 }
@@ -330,7 +329,7 @@ impl RoutePlan {
                         paths::all_shortest_paths(g, a, b, None, SIM_PATH_CAP)
                     };
                     for nodes in &routes {
-                        route_ids.push(arena.push_route(g, adj, config, nodes));
+                        route_ids.push(arena.push_route(g, |u, v| adj.edge_between(u, v), nodes));
                     }
                 }
                 pair_offsets.push(route_ids.len() as u32);
@@ -351,13 +350,14 @@ impl RoutePlan {
     }
 
     /// Compiles a trace plan from a mapping evaluation's chosen paths
-    /// (no pair table; routes are addressed by id).
+    /// (no pair table; routes are addressed by id). Path windows resolve
+    /// through [`TopologyGraph::find_edge`], which picks the same edge
+    /// the adjacency matrix would, without its `node_count²` table.
     pub(crate) fn trace(
         g: &TopologyGraph,
         config: &SimConfig,
         eval: &Evaluation,
     ) -> (RoutePlan, Vec<Trace>) {
-        let adj = g.adjacency_matrix();
         let mut arena = RouteArena::default();
         let mut traces = Vec::with_capacity(eval.routes.len());
         let mut term_of = vec![u32::MAX; g.node_count()];
@@ -367,7 +367,7 @@ impl RoutePlan {
         for r in &eval.routes {
             let mut routes = Vec::with_capacity(r.paths.len());
             for (p, f) in &r.paths {
-                routes.push((arena.push_route(g, &adj, config, p), *f));
+                routes.push((arena.push_route(g, |u, v| g.find_edge(u, v), p), *f));
             }
             traces.push(Trace {
                 terminal: term_of[r.src_node.index()] as usize,
@@ -389,6 +389,29 @@ impl RoutePlan {
             switch_pipeline: config.switch_pipeline,
         };
         (plan, traces)
+    }
+
+    /// Cycles a flit finishing `step` adds to its `ready_at`: the
+    /// downstream switch pipeline, plus one link cycle off attach links.
+    #[inline]
+    pub(crate) fn ready_add(&self, step: HopStep) -> u64 {
+        if step.attach {
+            self.switch_pipeline
+        } else {
+            1 + self.switch_pipeline
+        }
+    }
+
+    /// Free downstream space a *head* flit needs to take `step`: one
+    /// packet, or two on a ring entry.
+    #[inline]
+    pub(crate) fn head_space(&self, step: HopStep) -> u32 {
+        let pf = self.packet_flits as u32;
+        if step.ring_entry {
+            2 * pf
+        } else {
+            pf
+        }
     }
 
     #[inline]

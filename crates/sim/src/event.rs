@@ -19,7 +19,12 @@
 //!   in the future is *not* kept in any scanned set — a wheel slot
 //!   fires at exactly its readiness cycle and re-inserts it. The wheel
 //!   needs only `switch_pipeline + 2` slots because no per-hop latency
-//!   increment exceeds `switch_pipeline + 1` cycles.
+//!   increment exceeds `switch_pipeline + 1` cycles;
+//! * **injection queues hold packets, not flits**: past saturation a
+//!   terminal's backlog grows for the rest of the injection window, so
+//!   it stores one 16-byte [`QueuedPacket`] per waiting packet plus a
+//!   per-terminal count of the flits its front packet has released, and
+//!   builds the next flit only when it becomes the source's head.
 //!
 //! Tie-breaking and arbitration order are **bit-identical** to the
 //! reference engine's: transfer and eject walk their sets in ascending
@@ -140,8 +145,23 @@ enum WheelEvent {
     Eject { ring: u32, gen: u32 },
 }
 
+/// One packet in a terminal's backlog: 16 bytes. Its flits exist only
+/// one at a time, built by [`EventSimulator::terminal_head`] when each
+/// becomes the queue's head; every field a flit carries is either the
+/// packet's or derived from its route and the config.
+#[derive(Debug, Clone, Copy)]
+struct QueuedPacket {
+    inject_cycle: u64,
+    route: u32,
+    packet: u32,
+}
+
+const _: () = assert!(std::mem::size_of::<QueuedPacket>() <= 16);
+
 /// The event-driven flit-level simulator. Crate-private: built and
-/// driven through [`crate::SimSession`].
+/// driven through [`crate::SimSession`]. Flits in the network live in
+/// per-edge ring buffers; a terminal's backlog holds [`QueuedPacket`]
+/// records and releases their flits one per transfer.
 #[derive(Debug)]
 pub(crate) struct EventSimulator<'a> {
     graph: &'a TopologyGraph,
@@ -163,7 +183,10 @@ pub(crate) struct EventSimulator<'a> {
     ring_ready: Vec<u64>,
     ring_final: Vec<bool>,
 
-    inject: Vec<VecDeque<Flit>>,
+    /// Per terminal: the packets waiting to inject, oldest first.
+    inject: Vec<VecDeque<QueuedPacket>>,
+    /// Per terminal: the flits its front packet has already released.
+    released: Vec<u32>,
     owner: Vec<u32>,
     rr: Vec<u32>,
     source_moved: Vec<bool>,
@@ -256,6 +279,7 @@ impl<'a> EventSimulator<'a> {
             ring_ready: vec![0; edge_count],
             ring_final: vec![false; edge_count],
             inject: (0..terms).map(|_| VecDeque::new()).collect(),
+            released: vec![0; terms],
             owner: vec![NO_OWNER; edge_count],
             rr: vec![0; edge_count],
             source_moved: vec![false; terms + edge_count],
@@ -298,7 +322,7 @@ impl<'a> EventSimulator<'a> {
         let inject_until = self.config.warmup_cycles + self.config.measure_cycles;
         while self.now < total {
             self.drain_wheel();
-            self.eject();
+            self.eject(plan);
             if self.now < inject_until {
                 for t in 0..n {
                     if self.rng.gen_bool(packet_prob) {
@@ -350,7 +374,7 @@ impl<'a> EventSimulator<'a> {
         let inject_until = self.config.warmup_cycles + self.config.measure_cycles;
         while self.now < total {
             self.drain_wheel();
-            self.eject();
+            self.eject(&plan);
             if self.now < inject_until {
                 for tr in &traces {
                     if self.rng.gen_bool(tr.packet_prob) {
@@ -382,6 +406,7 @@ impl<'a> EventSimulator<'a> {
         for q in &mut self.inject {
             q.clear();
         }
+        self.released.fill(0);
         self.owner.fill(NO_OWNER);
         self.rr.fill(0);
         self.want_edge.fill(NO_EDGE);
@@ -468,69 +493,91 @@ impl<'a> EventSimulator<'a> {
         self.want_ready_count[e] += 1;
     }
 
+    /// Whether `cycle` falls in the measurement window.
+    #[inline]
+    fn in_measure_window(&self, cycle: u64) -> bool {
+        cycle >= self.config.warmup_cycles
+            && cycle < self.config.warmup_cycles + self.config.measure_cycles
+    }
+
     fn inject_packet(&mut self, terminal: usize, route: u32, plan: &RoutePlan) {
-        let measured = self.now >= self.config.warmup_cycles
-            && self.now < self.config.warmup_cycles + self.config.measure_cycles;
-        if measured {
+        if self.in_measure_window(self.now) {
             self.offered += 1;
         }
         let packet = self.next_packet;
         self.next_packet += 1;
-        let ready_at = if plan.arena.routes[route as usize].start_at_switch {
-            self.now + self.config.switch_pipeline
-        } else {
-            self.now
-        };
-        let pf = self.config.packet_flits;
-        let base = if measured { F_MEASURED } else { 0 };
         let fresh_head = self.inject[terminal].is_empty();
-        let span = plan.arena.routes[route as usize];
+        self.inject[terminal].push_back(QueuedPacket {
+            inject_cycle: self.now,
+            route,
+            packet,
+        });
+        self.in_flight += self.config.packet_flits as u64;
+        if fresh_head {
+            self.update_source_desire(plan, terminal as u32);
+        }
+    }
+
+    /// The next flit terminal `t` offers: flit `released[t]` of its
+    /// front packet. It waits at the source node on hop 0, ready at
+    /// injection plus the switch pipeline when the route starts at a
+    /// switch, and wants the route's first edge (`NO_EDGE` on an empty
+    /// route). The first flit is the head and needs the first step's
+    /// head space; every other flit needs one slot; the last is the
+    /// tail.
+    fn terminal_head(&self, plan: &RoutePlan, t: usize) -> Option<Flit> {
+        let p = *self.inject[t].front()?;
+        let span = plan.arena.routes[p.route as usize];
+        let ready_at = if span.start_at_switch {
+            p.inject_cycle + self.config.switch_pipeline
+        } else {
+            p.inject_cycle
+        };
         let (next_edge, head_space) = if span.step_count == 0 {
             (NO_EDGE, 1)
         } else {
             let step = plan.arena.steps[span.first_step as usize];
-            (step.edge, step.head_space)
+            (step.edge, plan.head_space(step))
         };
-        for i in 0..pf {
-            let mut flags = base;
-            let mut required = 1;
-            if i == 0 {
-                flags |= F_HEAD;
-                required = head_space;
-            }
-            if i + 1 == pf {
-                flags |= F_TAIL;
-            }
-            self.inject[terminal].push_back(Flit {
-                ready_at,
-                inject_cycle: self.now,
-                route,
-                packet,
-                next_edge,
-                required,
-                hop: 0,
-                flags,
-            });
+        let i = self.released[t] as usize;
+        let mut flags = if self.in_measure_window(p.inject_cycle) {
+            F_MEASURED
+        } else {
+            0
+        };
+        let mut required = 1;
+        if i == 0 {
+            flags |= F_HEAD;
+            required = head_space;
         }
-        self.in_flight += pf as u64;
-        if fresh_head {
-            self.update_source_desire(terminal as u32);
+        if i + 1 == self.config.packet_flits {
+            flags |= F_TAIL;
         }
+        Some(Flit {
+            ready_at,
+            inject_cycle: p.inject_cycle,
+            route: p.route,
+            packet: p.packet,
+            next_edge,
+            required,
+            hop: 0,
+            flags,
+        })
     }
 
     /// The head flit of encoded source `s`, if any.
     #[inline]
-    fn source_head(&self, s: u32) -> Option<&Flit> {
+    fn source_head(&self, plan: &RoutePlan, s: u32) -> Option<Flit> {
         let s = s as usize;
         let terms = self.terminals.len();
         if s < terms {
-            self.inject[s].front()
+            self.terminal_head(plan, s)
         } else {
             let b = s - terms;
             if self.ring_len[b] == 0 {
                 None
             } else {
-                Some(&self.ring_slots[b * self.cap as usize + self.ring_head[b] as usize])
+                Some(self.ring_slots[b * self.cap as usize + self.ring_head[b] as usize])
             }
         }
     }
@@ -541,7 +588,7 @@ impl<'a> EventSimulator<'a> {
     /// its readiness on the wheel (pending). Called at every
     /// queue-head change, so the sets always match a live read of the
     /// heads.
-    fn update_source_desire(&mut self, s: u32) {
+    fn update_source_desire(&mut self, plan: &RoutePlan, s: u32) {
         let k = self.source_slot[s as usize] as usize;
         self.desire_gen[k] = self.desire_gen[k].wrapping_add(1);
         if self.counted[k] {
@@ -552,7 +599,7 @@ impl<'a> EventSimulator<'a> {
                 self.active_edges.remove(e);
             }
         }
-        match self.source_head(s).copied() {
+        match self.source_head(plan, s) {
             Some(head) => {
                 self.want_edge[k] = head.next_edge;
                 self.want_packet[k] = head.packet;
@@ -607,12 +654,17 @@ impl<'a> EventSimulator<'a> {
         }
     }
 
-    fn pop_source(&mut self, s: u32) -> Flit {
+    fn pop_source(&mut self, plan: &RoutePlan, s: u32) -> Flit {
         let s = s as usize;
         let terms = self.terminals.len();
         if s < terms {
-            let flit = self.inject[s].pop_front().expect("candidate head exists");
-            self.update_source_desire(s as u32);
+            let flit = self.terminal_head(plan, s).expect("candidate head exists");
+            self.released[s] += 1;
+            if self.released[s] as usize == self.config.packet_flits {
+                self.released[s] = 0;
+                self.inject[s].pop_front();
+            }
+            self.update_source_desire(plan, s as u32);
             flit
         } else {
             let b = s - terms;
@@ -626,7 +678,7 @@ impl<'a> EventSimulator<'a> {
             } else {
                 self.sync_ring_head(b);
             }
-            self.update_source_desire((terms + b) as u32);
+            self.update_source_desire(plan, (terms + b) as u32);
             flit
         }
     }
@@ -634,7 +686,7 @@ impl<'a> EventSimulator<'a> {
     /// Ejects every ready final head, walking only the rings in the
     /// eject set — ascending edge order, one pop per ring per cycle,
     /// identical to the reference engine's dense scan.
-    fn eject(&mut self) {
+    fn eject(&mut self, plan: &RoutePlan) {
         if self.in_flight == 0 {
             return;
         }
@@ -654,7 +706,7 @@ impl<'a> EventSimulator<'a> {
             } else {
                 self.sync_ring_head(e);
             }
-            self.update_source_desire((self.terminals.len() + e) as u32);
+            self.update_source_desire(plan, (self.terminals.len() + e) as u32);
             self.in_flight -= 1;
             if head.flags & F_TAIL != 0 && head.flags & F_MEASURED != 0 {
                 self.latencies.push(self.now - head.inject_cycle);
@@ -680,8 +732,7 @@ impl<'a> EventSimulator<'a> {
             self.source_moved[s as usize] = false;
         }
         self.moved_log.clear();
-        let measure_window = self.now >= self.config.warmup_cycles
-            && self.now < self.config.warmup_cycles + self.config.measure_cycles;
+        let measure_window = self.in_measure_window(self.now);
         let mut next = self.active_edges.first_at_least(0);
         while let Some(e) = next {
             let free = self.cap - self.ring_len[e];
@@ -720,7 +771,7 @@ impl<'a> EventSimulator<'a> {
                 continue;
             };
             let src_slot = self.ns_items[k];
-            let mut flit = self.pop_source(src_slot);
+            let mut flit = self.pop_source(plan, src_slot);
             self.source_moved[src_slot as usize] = true;
             self.moved_log.push(src_slot);
             if measure_window {
@@ -744,14 +795,14 @@ impl<'a> EventSimulator<'a> {
                 let next_step = plan.arena.steps[route.first_step as usize + flit.hop as usize];
                 flit.next_edge = next_step.edge;
                 flit.required = if flit.flags & F_HEAD != 0 {
-                    next_step.head_space
+                    plan.head_space(next_step)
                 } else {
                     1
                 };
             } else {
                 flit.next_edge = NO_EDGE;
             }
-            flit.ready_at = self.now + step.ready_add;
+            flit.ready_at = self.now + plan.ready_add(step);
             let cap = self.cap;
             let idx = e * cap as usize + ((self.ring_head[e] + self.ring_len[e]) % cap) as usize;
             let was_empty = self.ring_len[e] == 0;
@@ -764,7 +815,7 @@ impl<'a> EventSimulator<'a> {
                 // set re-read below observes the activation, exactly
                 // like the reference engine's dense scan.
                 self.sync_ring_head(e);
-                self.update_source_desire((self.terminals.len() + e) as u32);
+                self.update_source_desire(plan, (self.terminals.len() + e) as u32);
             }
             next = self.active_edges.first_at_least(e + 1);
         }
@@ -811,6 +862,34 @@ impl<'a> EventSimulator<'a> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use sunmap_mapping::RouteTable;
+    use sunmap_topology::builders;
+
+    #[test]
+    fn saturated_runs_end_with_part_released_packets() {
+        // `tests/event_determinism.rs` reuses sessions after these
+        // runs to check that `reset` forgets a part-released front
+        // packet; this pins that the runs end with one.
+        let mesh = builders::mesh(4, 4, 500.0).unwrap();
+        let butterfly = builders::butterfly(4, 2, 500.0).unwrap();
+        for g in [&mesh, &butterfly] {
+            for packet_flits in [4, 6] {
+                let config = SimConfig {
+                    packet_flits,
+                    drain_cycles: 0,
+                    ..SimConfig::fast()
+                };
+                let plan = RoutePlan::synthetic(g, &RouteTable::new(g), &config);
+                let mut sim = EventSimulator::build(g, config);
+                sim.run_synthetic(&plan, &TrafficPattern::UniformRandom, 1.0);
+                assert!(
+                    sim.released.iter().any(|&r| r > 0),
+                    "{} with {packet_flits}-flit packets ended between packets",
+                    g.kind()
+                );
+            }
+        }
+    }
 
     #[test]
     fn active_set_sorted_iteration_and_live_reread() {

@@ -162,6 +162,29 @@ fn saturated_network_agrees() {
 }
 
 #[test]
+fn deep_saturation_agrees() {
+    // At 1.0 flits/cycle/terminal packets queue up at their terminals,
+    // so flits leave the queue long after their packet was injected.
+    // The standard library's indirect networks
+    // (Clos, butterfly) start routes at core ports and pick a path per
+    // packet; the torus turns into new rings, where head flits need
+    // the bubble rule's double space.
+    let uniform = TrafficPattern::UniformRandom;
+    let indirect = builders::standard_library(16, 500.0).unwrap();
+    for g in indirect.iter().filter(|g| !g.kind().is_direct()) {
+        assert_synthetic_equivalent(g, SimConfig::fast(), &uniform, 1.0);
+    }
+    let torus = builders::torus(4, 4, 500.0).unwrap();
+    for packet_flits in [1, 6] {
+        let config = SimConfig {
+            packet_flits,
+            ..SimConfig::fast()
+        };
+        assert_synthetic_equivalent(&torus, config, &uniform, 1.0);
+    }
+}
+
+#[test]
 fn low_load_regime_agrees() {
     // Almost every edge idle, so most cycles touch a handful of
     // active-set entries.
@@ -189,6 +212,18 @@ fn trace_mode_agrees_on_mapped_benchmarks() {
             );
         }
     }
+}
+
+#[test]
+fn trace_mode_agrees_at_full_intensity() {
+    // Intensity 1.0 injects VOPD's heaviest flow at one flit per cycle,
+    // past what its mapped path carries.
+    let app = benchmarks::vopd();
+    let g = builders::mesh(3, 4, 1000.0).unwrap();
+    let mapping = Mapper::new(&g, &app, MapperConfig::default())
+        .run()
+        .unwrap();
+    assert_trace_equivalent(&g, SimConfig::fast(), mapping.evaluation(), &app, 1.0);
 }
 
 #[test]

@@ -51,6 +51,52 @@ fn session_reuse_resets_all_event_state() {
 }
 
 #[test]
+fn saturated_runs_leave_nothing_behind_in_a_reused_session() {
+    // Uniform traffic at 1.0 flits/cycle/terminal swamps both
+    // networks. Without drain cycles every run stops with packets
+    // still queued at their terminals, and with packets of more than
+    // one flit some front packets have released only part of their
+    // flits. Neither the backlog nor a part-released packet may reach
+    // the next run.
+    let mesh = builders::mesh(4, 4, 500.0).unwrap();
+    let butterfly = builders::butterfly(4, 2, 500.0).unwrap();
+    assert_eq!(butterfly.mappable_nodes().len(), 16);
+    let uniform = TrafficPattern::UniformRandom;
+    for g in [&mesh, &butterfly] {
+        for packet_flits in [1, 4, 6] {
+            let config = SimConfig {
+                packet_flits,
+                drain_cycles: 0,
+                ..event_config()
+            };
+            let mut session = SimSession::builder(g).config(config).build();
+            let saturated = session.run_synthetic(&uniform, 1.0);
+            assert!(
+                saturated.packets_delivered < saturated.packets_offered,
+                "{} with {packet_flits}-flit packets should end with a backlog: {saturated}",
+                g.kind(),
+            );
+            assert_eq!(
+                saturated,
+                session.run_synthetic(&uniform, 1.0),
+                "{} with {packet_flits}-flit packets: a saturated rerun diverged",
+                g.kind(),
+            );
+            let fresh = SimSession::builder(g)
+                .config(config)
+                .build()
+                .run_synthetic(&uniform, 0.05);
+            assert_eq!(
+                fresh,
+                session.run_synthetic(&uniform, 0.05),
+                "{} with {packet_flits}-flit packets: a saturated run leaked into the next",
+                g.kind(),
+            );
+        }
+    }
+}
+
+#[test]
 fn sweep_is_worker_count_invariant_on_the_event_engine() {
     let graphs = [
         builders::mesh(4, 4, 500.0).unwrap(),

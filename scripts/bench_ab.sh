@@ -5,7 +5,8 @@
 #                                 [--workload NAME]... [--record FILE]
 #
 # Builds perfbench with BENCHMARK.json's command (its `cargo run` made a
-# `cargo build`) in a `git worktree` of PARENT and in the working tree.
+# `cargo build`) in a `git archive` export of PARENT and in the working
+# tree.
 # Then runs N pairs (default 10) of every BENCHMARK.json workload, or of
 # each --workload given, for BENCHMARK.json's run_seconds at seed N
 # (default 7), the side that goes first alternating from pair to pair;
@@ -15,7 +16,9 @@
 # record, shaped like BENCH_15.json but with `traced` a list with one
 # entry per workload, goes to FILE (default target/bench-ab/record.json);
 # an existing FILE for the same parent gains the new entries instead.
-# The worktree is removed on exit.
+# Each run clears only the previous run's results, logs and verdicts, so
+# a record under target/bench-ab survives to be appended to. The export
+# is removed on exit.
 #
 # Each run is pinned to one CPU by perfbench and lasts run_seconds, so
 # ten pairs of two 50 s workloads take about 35 minutes. Keep the
@@ -60,17 +63,13 @@ run_cmd=$(bench 'print(" ".join(map(shlex.quote, b["command"])))')
 build_cmd=$(bench 'c = b["command"][:b["command"].index("--")]; c[c.index("run")] = "build"; print(" ".join(map(shlex.quote, c)))')
 
 out=$root/target/bench-ab
-rm -rf "$out"
-mkdir -p "$out/parent" "$out/change"
-record=${record:-$out/record.json}
 tree=$out/parent-tree
-cleanup() {
-    git worktree remove --force "$tree" 2>/dev/null || true
-    git worktree prune
-}
-trap cleanup EXIT
+rm -rf "$out/parent" "$out/change" "$out/parent.log" "$out/change.log" "$out/compare.txt" "$tree"
+mkdir -p "$out/parent" "$out/change" "$tree"
+record=${record:-$out/record.json}
+trap 'rm -rf "$tree"' EXIT
 trap 'exit 130' INT TERM
-git worktree add --detach --quiet "$tree" "$parent_commit"
+git archive "$parent_commit" | tar -x -C "$tree"
 
 for dir in "$tree" "$root"; do
     echo "== building perfbench in $dir"
@@ -199,7 +198,7 @@ else:
         "pinned_cpus": 1,
         "rustc": subprocess.run(["rustc", "-V"], capture_output=True, text=True).stdout.strip(),
         "method": "scripts/bench_ab.sh: perfbench built with the BENCHMARK.json command in a "
-                  "git worktree of the parent and in the working tree; parent and change runs "
+                  "git archive export of the parent and in the working tree; parent and change runs "
                   "alternate, the first side alternating per pair; each run is pinned to one "
                   "CPU by perfbench; medians, quartiles and verdicts are perfbench/compare.py's "
                   "(position-paired runs)",
