@@ -59,7 +59,8 @@ bench-ab:
 	sh scripts/bench_ab.sh $(PARENT)
 
 ## Check the benchmark's pinned outputs: every workload BENCHMARK.json
-## declares runs once, with that file's command, for one second
+## declares, then paper-grid (the only pins over the paper apps' DO, SM
+## and SA reports), runs once, with that file's command, for one second
 ## (results in target/bench-check), and the check fails unless each
 ## run's last output line reports "correct":true. The benchmark itself
 ## exits 0 when an output digest misses perfbench/pins.txt.
@@ -94,8 +95,11 @@ shard-smoke: build
 	sh scripts/shard_smoke.sh target/release/sunmap target/shard-smoke
 
 ## Smoke-run the large-topology mapping path in release: the pinned
-## 256/1024-core scale goldens and the 4096-core mesh wall-clock smoke
-## (release only — the debug tier-1 suite skips the 4096 run). That
+## 256/1024-core scale goldens, the 4096-core mesh wall-clock smoke and
+## the route-enumeration smokes (32×32 mesh and torus route plans, each
+## simulated once against the reference engine; pinned split-all-paths
+## counts from the corners of a 16×16 mesh), each under a wall-clock
+## bound (release only — the debug tier-1 suite skips them). That
 ## every route-table preparation maps to the same bytes is proven by
 ## `make test` (table_prep_equivalence.rs), not here.
 scale-smoke:

@@ -8,6 +8,10 @@
 //! networks have no dimension order proper: the butterfly has a unique
 //! path and the Clos uses a deterministic middle-switch hash so that the
 //! function stays oblivious.
+//!
+//! Every route is built one hop at a time from the current switch's
+//! successors, so a route of `h` hops costs O(h · degree); no step
+//! scans the graph's nodes.
 
 use crate::paths::shortest_path;
 use crate::{NodeCoords, NodeId, TopologyError, TopologyGraph, TopologyKind};
@@ -41,10 +45,12 @@ use crate::{NodeCoords, NodeId, TopologyError, TopologyGraph, TopologyKind};
 /// # Ok::<(), Box<dyn std::error::Error>>(())
 /// ```
 pub fn route(g: &TopologyGraph, src: NodeId, dst: NodeId) -> Result<Vec<NodeId>, TopologyError> {
-    if !g.mappable_nodes().contains(&src) {
+    // Mappable ids are pushed in ascending order as the graph is built.
+    let mappable = |n: NodeId| g.mappable_nodes().binary_search(&n).is_ok();
+    if !mappable(src) {
         return Err(TopologyError::NotMappable(src.index()));
     }
-    if !g.mappable_nodes().contains(&dst) {
+    if !mappable(dst) {
         return Err(TopologyError::NotMappable(dst.index()));
     }
     if src == dst {
@@ -107,16 +113,38 @@ fn xy_route(
     let (mut r, mut c) = grid_of(g, src);
     let (r2, c2) = grid_of(g, dst);
     let mut path = vec![src];
+    let mut cur = src;
     // X (column) dimension first.
     while c != c2 {
         c = ring_step(c, c2, wrap.map(|(_, cols)| cols).filter(|l| *l > 2));
-        path.push(g.switch_at_grid(r, c).expect("grid switch exists"));
+        cur = step_to(
+            g,
+            cur,
+            NodeCoords::Grid { row: r, col: c },
+            "grid switch exists",
+        );
+        path.push(cur);
     }
     while r != r2 {
         r = ring_step(r, r2, wrap.map(|(rows, _)| rows).filter(|l| *l > 2));
-        path.push(g.switch_at_grid(r, c).expect("grid switch exists"));
+        cur = step_to(
+            g,
+            cur,
+            NodeCoords::Grid { row: r, col: c },
+            "grid switch exists",
+        );
+        path.push(cur);
     }
     path
+}
+
+/// The successor of `from` at coordinates `to`: each hop of a
+/// dimension-ordered route moves to a neighbour, so its next switch is
+/// found among `from`'s out-links, not by scanning every node.
+fn step_to(g: &TopologyGraph, from: NodeId, to: NodeCoords, missing: &str) -> NodeId {
+    g.successors(from)
+        .find(|n| g.coords(*n) == to)
+        .expect(missing)
 }
 
 fn ecube_route(g: &TopologyGraph, src: NodeId, dst: NodeId) -> Vec<NodeId> {
@@ -127,15 +155,18 @@ fn ecube_route(g: &TopologyGraph, src: NodeId, dst: NodeId) -> Vec<NodeId> {
     let mut cur = label(src);
     let target = label(dst);
     let mut path = vec![src];
+    let mut node = src;
     let mut bit = 0u32;
     while cur != target {
         if (cur ^ target) & (1 << bit) != 0 {
             cur ^= 1 << bit;
-            let next = g
-                .nodes()
-                .find(|n| g.coords(*n) == NodeCoords::Hyper { label: cur })
-                .expect("hypercube label exists");
-            path.push(next);
+            node = step_to(
+                g,
+                node,
+                NodeCoords::Hyper { label: cur },
+                "hypercube label exists",
+            );
+            path.push(node);
         }
         bit += 1;
     }
@@ -177,9 +208,15 @@ fn clos_route(g: &TopologyGraph, src: NodeId, dst: NodeId, middle: usize) -> Vec
     // Deterministic, source/destination-oblivious spread of commodities
     // over the middle stage.
     let mid_index = (idx(ing) + idx(eg)) % middle;
-    let mid = g
-        .switch_at_stage(1, mid_index)
-        .expect("middle switch exists");
+    let mid = step_to(
+        g,
+        ing,
+        NodeCoords::Stage {
+            stage: 1,
+            index: mid_index,
+        },
+        "middle switch exists",
+    );
     vec![src, ing, mid, eg, dst]
 }
 

@@ -401,6 +401,10 @@ impl TopologyGraph {
     /// Finds the switch at grid position `(row, col)` for mesh/torus
     /// graphs. Returns `None` for other topologies or out-of-range
     /// positions.
+    ///
+    /// Scans every node, O(V) per call: a lookup for tests and examples.
+    /// Route construction steps to a neighbour through
+    /// [`TopologyGraph::successors`] instead.
     pub fn switch_at_grid(&self, row: usize, col: usize) -> Option<NodeId> {
         self.nodes().find(|n| {
             matches!(self.coords(*n), NodeCoords::Grid { row: r, col: c } if r == row && c == col)
@@ -408,6 +412,9 @@ impl TopologyGraph {
     }
 
     /// Finds the switch at `(stage, index)` for multistage graphs.
+    ///
+    /// Scans every node, O(V) per call, like
+    /// [`TopologyGraph::switch_at_grid`].
     pub fn switch_at_stage(&self, stage: usize, index: usize) -> Option<NodeId> {
         self.nodes().find(|n| {
             self.node_kind(*n) == NodeKind::Switch
@@ -418,6 +425,9 @@ impl TopologyGraph {
 
     /// Finds the core port with terminal index `index` for indirect
     /// graphs.
+    ///
+    /// Scans every node, O(V) per call, like
+    /// [`TopologyGraph::switch_at_grid`].
     pub fn port(&self, index: usize) -> Option<NodeId> {
         self.nodes()
             .find(|n| matches!(self.coords(*n), NodeCoords::Port { index: i } if i == index))

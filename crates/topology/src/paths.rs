@@ -271,6 +271,14 @@ where
 /// Enumerates every minimum-hop path from `src` to `dst` (up to `cap`
 /// paths), optionally restricted to `allowed`. Used by the
 /// split-traffic-across-minimum-paths routing function.
+///
+/// One BFS from `src` levels the vertices up to `dst`'s distance and
+/// gives the minimum length; paths then grow forward from `src` along
+/// level-increasing edges, in `successors` order, so every completion
+/// is a minimum-hop path. A vertex whose subtree completed no path is
+/// never entered again, so the cost is at most O(V + E) for the BFS
+/// plus O(L · Δ) per returned path of `L` vertices on a graph of
+/// maximum out-degree Δ.
 pub fn all_shortest_paths(
     g: &TopologyGraph,
     src: NodeId,
@@ -278,15 +286,15 @@ pub fn all_shortest_paths(
     allowed: Option<&AllowedSet>,
     cap: usize,
 ) -> Vec<Vec<NodeId>> {
-    // BFS levels from src, then backtrack along strictly-decreasing
-    // levels from dst.
-    let Some(min) = shortest_path(g, src, dst, allowed).map(|p| p.len()) else {
-        return Vec::new();
-    };
     let mut level = vec![usize::MAX; g.node_count()];
     level[src.index()] = 0;
     let mut queue = VecDeque::from([src]);
     while let Some(u) = queue.pop_front() {
+        // Once a vertex at `dst`'s level is popped, every vertex at that
+        // level or nearer has one; the enumeration enters none farther.
+        if level[u.index()] >= level[dst.index()] {
+            break;
+        }
         for v in g.successors(u) {
             if level[v.index()] == usize::MAX && permitted(allowed, v, src, dst) {
                 level[v.index()] = level[u.index()] + 1;
@@ -294,16 +302,20 @@ pub fn all_shortest_paths(
             }
         }
     }
+    let hops = level[dst.index()];
     let mut out = Vec::new();
+    if hops == usize::MAX {
+        return out;
+    }
     let mut stack = vec![src];
-    enumerate_levels(g, dst, &level, min - 1, &mut stack, &mut out, cap);
+    enumerate_levels(g, dst, &mut level, hops, &mut stack, &mut out, cap);
     out
 }
 
 fn enumerate_levels(
     g: &TopologyGraph,
     dst: NodeId,
-    level: &[usize],
+    level: &mut [usize],
     hops: usize,
     stack: &mut Vec<NodeId>,
     out: &mut Vec<Vec<NodeId>>,
@@ -321,20 +333,38 @@ fn enumerate_levels(
         return;
     }
     for v in g.successors(here) {
-        if level[v.index()] == stack.len() && (v == dst || level[v.index()] < usize::MAX) {
-            // Only extend along BFS-level-increasing edges: every such
-            // completion is a minimum-hop path.
+        // Only extend along BFS-level-increasing edges: every such
+        // completion is a minimum-hop path.
+        if level[v.index()] == stack.len() {
+            let found = out.len();
             stack.push(v);
             enumerate_levels(g, dst, level, hops, stack, out, cap);
             stack.pop();
+            // Each vertex is entered at its own level only, so what its
+            // subtree completes does not depend on the prefix: one that
+            // completed nothing never will, and leaves the level graph.
+            // (A subtree cut by the cap completed nothing only if the
+            // cap was reached before it, and then nothing is added
+            // again.)
+            if out.len() == found {
+                level[v.index()] = usize::MAX;
+            }
         }
     }
 }
 
 /// Enumerates simple paths from `src` to `dst` within `allowed` (up to
-/// `cap` paths and `max_len` vertices each). Used by the
-/// split-traffic-across-all-paths routing function, where "all paths"
-/// means all simple paths inside the commodity's quadrant graph.
+/// `cap` paths and `max_len` vertices each), in depth-first order over
+/// `successors`. Used by the split-traffic-across-all-paths routing
+/// function, whose callers pass `None`: "all paths" means all simple
+/// paths of the whole graph within a few hops of the minimum.
+///
+/// One reverse BFS from `dst` over incoming edges gives each vertex's
+/// hops to `dst`, and the search never enters a vertex from which `dst`
+/// is out of reach within `max_len`. Every vertex it enters thus lies on
+/// a walk of at most `max_len` vertices to `dst`; the cost is at most
+/// O(V + E) for the BFS plus the search of that bounded region, instead
+/// of every simple path of up to `max_len` vertices from `src`.
 pub fn all_simple_paths(
     g: &TopologyGraph,
     src: NodeId,
@@ -343,13 +373,33 @@ pub fn all_simple_paths(
     max_len: usize,
     cap: usize,
 ) -> Vec<Vec<NodeId>> {
+    // Hops from each permitted vertex to `dst` through permitted
+    // vertices, a lower bound on any completion. `usize::MAX` marks a
+    // vertex that cannot reach `dst`, or only in `max_len` or more hops:
+    // a path through it would have more than `max_len` vertices.
+    let mut to_dst = vec![usize::MAX; g.node_count()];
+    to_dst[dst.index()] = 0;
+    let mut queue = VecDeque::from([dst]);
+    while let Some(w) = queue.pop_front() {
+        if to_dst[w.index()] + 1 >= max_len {
+            break;
+        }
+        for &e in g.incoming(w) {
+            let u = g.edge(e).src;
+            if to_dst[u.index()] == usize::MAX && permitted(allowed, u, src, dst) {
+                to_dst[u.index()] = to_dst[w.index()] + 1;
+                queue.push_back(u);
+            }
+        }
+    }
     let mut out = Vec::new();
     let mut stack = vec![src];
-    let mut on_path: BTreeSet<NodeId> = BTreeSet::from([src]);
+    let mut on_path = vec![false; g.node_count()];
+    on_path[src.index()] = true;
     simple_dfs(
         g,
         dst,
-        allowed,
+        &to_dst,
         max_len,
         cap,
         &mut stack,
@@ -363,11 +413,11 @@ pub fn all_simple_paths(
 fn simple_dfs(
     g: &TopologyGraph,
     dst: NodeId,
-    allowed: Option<&AllowedSet>,
+    to_dst: &[usize],
     max_len: usize,
     cap: usize,
     stack: &mut Vec<NodeId>,
-    on_path: &mut BTreeSet<NodeId>,
+    on_path: &mut [bool],
     out: &mut Vec<Vec<NodeId>>,
 ) {
     if out.len() >= cap {
@@ -381,15 +431,18 @@ fn simple_dfs(
     if stack.len() >= max_len {
         return;
     }
-    let src = stack[0];
     for v in g.successors(here) {
-        if on_path.contains(&v) || !permitted(allowed, v, src, dst) {
+        // An unpermitted vertex has no distance: the BFS skipped it. A
+        // skipped subtree holds no path within `max_len`, so the output
+        // and its order are those of the search without the bound.
+        let left = to_dst[v.index()];
+        if on_path[v.index()] || left == usize::MAX || stack.len() + 1 + left > max_len {
             continue;
         }
         stack.push(v);
-        on_path.insert(v);
-        simple_dfs(g, dst, allowed, max_len, cap, stack, on_path, out);
-        on_path.remove(&v);
+        on_path[v.index()] = true;
+        simple_dfs(g, dst, to_dst, max_len, cap, stack, on_path, out);
+        on_path[v.index()] = false;
         stack.pop();
     }
 }

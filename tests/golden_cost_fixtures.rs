@@ -14,9 +14,14 @@
 //! are feasible configurations (MPEG4 needs split-traffic routing at
 //! 500 MB/s links, §6.1).
 
-use sunmap::mapping::{Constraints, MappingError};
-use sunmap::topology::builders;
+use std::sync::Arc;
+use std::time::{Duration, Instant};
+
+use sunmap::mapping::{Constraints, MappingError, RouteTable};
+use sunmap::sim::{RoutePlan, SimConfig, SimEngine, SimSession};
+use sunmap::topology::{builders, paths};
 use sunmap::traffic::benchmarks;
+use sunmap::traffic::patterns::TrafficPattern;
 use sunmap::traffic::synthetic::SyntheticSpec;
 use sunmap::{
     CoreGraph, Mapper, MapperConfig, Objective, RoutingFunction, Sunmap, TablePrep, TopologyGraph,
@@ -387,6 +392,101 @@ fn mesh_4096_smoke_maps_within_the_wall_clock_bound() {
     assert_eq!(mapping.evaluated_candidates(), 16);
     println!("4096-core mesh mapped in {elapsed:.1?}");
 }
+
+/// Route-enumeration scale smoke, part 1: the synthetic route plans of
+/// a 32×32 mesh and a 32×32 torus (about a million dimension-ordered
+/// routes each) compile, and a short uniform run at 0.02 on each plan
+/// gives the reference engine's statistics, which route every packet
+/// live. Opt-in like the 4096-core smoke, under the bound
+/// [`PLAN_SMOKE_SECS`]; with a dimension-order step that scanned every
+/// node, one such plan took about 18 s.
+#[test]
+fn route_enumeration_smoke_compiles_and_simulates_32x32_plans() {
+    if std::env::var_os("SUNMAP_SCALE_SMOKE").is_none() {
+        eprintln!("skipping 32x32 plan smoke (set SUNMAP_SCALE_SMOKE=1 to run)");
+        return;
+    }
+    let start = Instant::now();
+    for g in [
+        builders::mesh(32, 32, 500.0).expect("mesh builds"),
+        builders::torus(32, 32, 500.0).expect("torus builds"),
+    ] {
+        let config = SimConfig::fast();
+        let compile = Instant::now();
+        let plan = Arc::new(RoutePlan::synthetic(&g, &RouteTable::new(&g), &config));
+        println!("{}: plan compiled in {:.1?}", g.kind(), compile.elapsed());
+        let event = SimSession::builder(&g)
+            .config(config)
+            .plan(plan)
+            .build()
+            .run_synthetic(&TrafficPattern::UniformRandom, 0.02);
+        let reference = SimSession::builder(&g)
+            .config(SimConfig {
+                engine: SimEngine::Reference,
+                ..config
+            })
+            .build()
+            .run_synthetic(&TrafficPattern::UniformRandom, 0.02);
+        assert!(event.packets_delivered > 0, "{}", g.kind());
+        assert_eq!(event, reference, "{}: engines disagree", g.kind());
+    }
+    let elapsed = start.elapsed();
+    println!("32x32 plan smoke took {elapsed:.1?}");
+    assert!(
+        elapsed < Duration::from_secs(PLAN_SMOKE_SECS),
+        "32x32 plan smoke took {elapsed:.1?} (bound: {PLAN_SMOKE_SECS} s)"
+    );
+}
+
+/// Wall-clock bound of the 32×32 plan smoke: about four to five times
+/// the 3.0–4.2 s it takes in release on a 2-vCPU box (each plan compiles
+/// in 0.7–1.8 s), so enumerators that cost seconds per plan fail it.
+const PLAN_SMOKE_SECS: u64 = 15;
+
+/// Route-enumeration scale smoke, part 2: the split-all-paths (SA)
+/// candidates from each corner of a 16×16 mesh to every other switch,
+/// with SA's slack of two hops over the minimum and its cap of 32
+/// paths, pinned as path counts per corner (the mesh's reflections map
+/// corners onto each other, so all four agree), under the bound
+/// [`SA_SMOKE_MILLIS`]. The search without a distance bound found the
+/// same 7,782 paths from corner (0, 0) in about 12 s.
+#[test]
+fn route_enumeration_smoke_pins_sa_candidates_on_a_16x16_mesh() {
+    if std::env::var_os("SUNMAP_SCALE_SMOKE").is_none() {
+        eprintln!("skipping 16x16 SA smoke (set SUNMAP_SCALE_SMOKE=1 to run)");
+        return;
+    }
+    let g = builders::mesh(16, 16, 500.0).expect("mesh builds");
+    let start = Instant::now();
+    let counts: Vec<usize> = [(0, 0), (0, 15), (15, 0), (15, 15)]
+        .into_iter()
+        .map(|(row, col)| {
+            let a = g.switch_at_grid(row, col).expect("corner switch");
+            g.mappable_nodes()
+                .iter()
+                .filter(|&&b| b != a)
+                .map(|&b| {
+                    let min_len = paths::shortest_path(&g, a, b, None)
+                        .expect("mesh is connected")
+                        .len();
+                    paths::all_simple_paths(&g, a, b, None, min_len + 2, 32).len()
+                })
+                .sum()
+        })
+        .collect();
+    let elapsed = start.elapsed();
+    println!("16x16 SA corner smoke took {elapsed:.1?}: {counts:?}");
+    assert_eq!(counts, [7782; 4]);
+    assert!(
+        elapsed < Duration::from_millis(SA_SMOKE_MILLIS),
+        "16x16 SA corner smoke took {elapsed:.1?} (bound: {SA_SMOKE_MILLIS} ms)"
+    );
+}
+
+/// Wall-clock bound of the 16×16 SA smoke: it takes 9–17 ms in release
+/// on a 2-vCPU box, and a few milliseconds of scheduling noise would
+/// trip an exact five-fold bound, so the margin is six- to ten-fold.
+const SA_SMOKE_MILLIS: u64 = 100;
 
 #[test]
 fn goldens_are_reproducible_within_one_process() {
