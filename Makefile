@@ -95,8 +95,10 @@ shard-smoke: build
 	sh scripts/shard_smoke.sh target/release/sunmap target/shard-smoke
 
 ## Smoke-run the large-topology mapping path in release: the pinned
-## 256/1024-core scale goldens, the 4096-core mesh wall-clock smoke and
-## the route-enumeration smokes (32×32 mesh and torus route plans, each
+## 256/1024-core scale goldens, the 4096-core mesh wall-clock smoke, the
+## MinPath smoke (the 128-core synthetic explore under MinDelay, each
+## topology's outcome and candidate count pinned) and the
+## route-enumeration smokes (32×32 mesh and torus route plans, each
 ## simulated once against the reference engine; pinned split-all-paths
 ## counts from the corners of a 16×16 mesh), each under a wall-clock
 ## bound (release only — the debug tier-1 suite skips them). That

@@ -16,13 +16,21 @@
 //! `evaluate(..).report`, and errors exactly when the reference errors.
 //! The routed-path *sets* are placement-independent per `(src, dst)`
 //! pair (quadrants, enumerated min/simple paths, dimension-ordered
-//! routes), which is what makes caching sound; the load-dependent parts
-//! (Dijkstra tie-breaking, min-max chunk assignment) run the same code
-//! as the reference — `paths::dijkstra_into` backs `paths::dijkstra`,
-//! and [`crate::routing::assign_chunks`] backs `min_max_split` — so the
-//! arithmetic cannot drift. The proptest suite in
-//! `tests/fast_path_equivalence.rs` enforces the contract across every
-//! topology builder, routing function and objective.
+//! routes), which is what makes caching sound. Min-max chunk
+//! assignment runs the reference's code ([`crate::routing::
+//! assign_chunks`] backs `min_max_split`). MinPath routing does not:
+//! the reference runs `paths::dijkstra` (whose body is
+//! `paths::dijkstra_into`), while the engine runs the heap-free
+//! `paths::level_search_into`, which returns Dijkstra's cost and path,
+//! tie-breaking included, whenever every search level's cost spread
+//! is below [`HOP_COST`]. It checks that at each level and otherwise
+//! reports the commodity, which the engine then routes with
+//! `paths::dijkstra_into` itself ([`EvalScratch::level_fallbacks`]
+//! counts these). `tests/level_search_oracle.rs` in the topology crate
+//! proves the pair against Dijkstra, fallbacks included, and the
+//! proptest suite in `tests/fast_path_equivalence.rs` enforces the
+//! contract across every topology builder, routing function and
+//! objective.
 //!
 //! # One swap sweep, two scorers
 //!
@@ -96,7 +104,7 @@ use crate::{
 };
 use sunmap_floorplan::Floorplan;
 use sunmap_power::{switch_power_from_energy, AreaPowerLibrary, SwitchConfig};
-use sunmap_topology::paths::{AllowedSet, DijkstraScratch};
+use sunmap_topology::paths::{AllowedSet, DijkstraScratch, NotLevelOrdered};
 use sunmap_topology::{
     closed_form, dimension_order, paths, quadrant, AdjacencyMatrix, EdgeId, NodeId, NodeKind,
     TopologyGraph,
@@ -755,9 +763,17 @@ pub struct EvalScratch {
     /// Working copy of the loads for min-max chunk assignment.
     local: Vec<f64>,
     chunks: Vec<usize>,
-    quad_mask: Vec<bool>,
+    /// MinPath admission: a node is in the commodity being routed's
+    /// quadrant when its entry equals `quad_stamp`, which each
+    /// commodity advances, so nothing is cleared between commodities.
+    quad_mask: Vec<u32>,
+    quad_stamp: u32,
     dijkstra: DijkstraScratch,
     path: Vec<NodeId>,
+    /// MinPath commodities whose level search was not level-ordered
+    /// and so ran `paths::dijkstra_into` (see
+    /// [`EvalScratch::level_fallbacks`]).
+    level_fallbacks: u64,
     /// Swap-delta working state (delta sweep only): sparse per-edge /
     /// per-node deltas with their touched-index lists, the incident
     /// commodity indices of the candidate pair, candidate link lengths
@@ -788,9 +804,11 @@ impl EvalScratch {
             switch_traffic: vec![0.0; node_count],
             local: vec![0.0; edge_count],
             chunks: Vec::new(),
-            quad_mask: vec![false; node_count],
+            quad_mask: vec![0; node_count],
+            quad_stamp: 0,
             dijkstra: DijkstraScratch::new(node_count),
             path: Vec::new(),
+            level_fallbacks: 0,
             delta_loads: vec![0.0; edge_count],
             touched_edges: Vec::new(),
             delta_traffic: vec![0.0; node_count],
@@ -804,6 +822,16 @@ impl EvalScratch {
             in_min: vec![0.0; node_count],
             cut_delta: vec![[0.0; 2]; node_count],
         }
+    }
+
+    /// How many MinPath commodities this scratch routed with the
+    /// heap-based `paths::dijkstra_into` because their level search
+    /// (`paths::level_search_into`) met a level that was not
+    /// level-ordered: a load of about `1e9` MB/s or more on the way.
+    /// Realistic traffic keeps it at 0, which is what makes MinPath
+    /// routing heap-free.
+    pub fn level_fallbacks(&self) -> u64 {
+        self.level_fallbacks
     }
 }
 
@@ -826,6 +854,9 @@ pub struct EvalEngine<'a> {
     switch_energy: Vec<f64>,
     switch_area_total: f64,
     design_area: f64,
+    /// Outgoing edges with their heads, flat (the MinPath level
+    /// search).
+    arcs: paths::OutArcs,
     /// Edge-indexed bandwidth capacities (min-max splitting hot path).
     edge_capacity: Vec<f64>,
     /// Edge-indexed "is a network link" flags (bound tracking).
@@ -940,6 +971,7 @@ impl<'a> EvalEngine<'a> {
             switch_energy,
             switch_area_total,
             design_area,
+            arcs: paths::OutArcs::new(g),
             edge_capacity,
             net_edge,
             core_commodities,
@@ -1132,29 +1164,34 @@ impl<'a> EvalEngine<'a> {
                 let EvalScratch {
                     link_loads,
                     quad_mask,
+                    quad_stamp,
                     dijkstra,
                     path,
+                    level_fallbacks,
                     ..
                 } = scratch;
-                for n in quad.iter() {
-                    quad_mask[n.index()] = true;
+                *quad_stamp = quad_stamp.wrapping_add(1);
+                if *quad_stamp == 0 {
+                    quad_mask.fill(0);
+                    *quad_stamp = 1;
                 }
-                quad_mask[src.index()] = true;
-                quad_mask[dst.index()] = true;
-                let found = paths::dijkstra_into(
-                    g,
-                    src,
-                    dst,
-                    |n| quad_mask[n.index()],
-                    |e| HOP_COST + link_loads[e.index()],
-                    dijkstra,
-                    path,
-                );
-                for n in quad.iter() {
-                    quad_mask[n.index()] = false;
+                let stamp = *quad_stamp;
+                for n in quad.iter().chain([&src, &dst]) {
+                    quad_mask[n.index()] = stamp;
                 }
-                quad_mask[src.index()] = false;
-                quad_mask[dst.index()] = false;
+                let admit = |n: NodeId| quad_mask[n.index()] == stamp;
+                let cost = |e: EdgeId| HOP_COST + link_loads[e.index()];
+                // Loads are sums of non-negative bandwidths, so every
+                // edge costs at least `HOP_COST`.
+                let found = match paths::level_search_into(
+                    &self.arcs, src, dst, admit, cost, HOP_COST, dijkstra, path,
+                ) {
+                    Ok(found) => found,
+                    Err(NotLevelOrdered) => {
+                        *level_fallbacks += 1;
+                        paths::dijkstra_into(g, src, dst, admit, cost, dijkstra, path)
+                    }
+                };
                 found?;
                 Some(self.accumulate_dynamic(1.0, bandwidth, scratch))
             }
@@ -2516,6 +2553,46 @@ mod tests {
                 .unwrap()
                 .report;
             assert_eq!(fast, reference, "{} diverged", g.kind());
+        }
+    }
+
+    /// MinPath routing is heap-free only while the level search never
+    /// falls back, and a silent fallback would change no byte. So the
+    /// fallback count stays 0 on the four paper apps at their golden
+    /// capacities and on `synth:seed=7,cores=64`, on every library
+    /// topology, over the greedy seed and a walk of swaps from it.
+    #[test]
+    fn min_path_level_search_never_falls_back_on_the_benchmark_apps() {
+        let synth: sunmap_traffic::synthetic::SyntheticSpec =
+            "synth:seed=7,cores=64".parse().unwrap();
+        let routing = RoutingFunction::MinPath;
+        for (app, capacity) in [
+            (benchmarks::vopd(), 500.0),
+            (benchmarks::mpeg4(), 500.0),
+            (benchmarks::dsp_filter(), 1000.0),
+            (benchmarks::network_processor(100.0), 500.0),
+            (synth.generate(), 500.0),
+        ] {
+            for g in builders::standard_library(app.core_count(), capacity).unwrap() {
+                let (table, mut lib, constraints) = engine_fixture(&g, routing);
+                let engine = EvalEngine::new(&g, &app, &table, routing, &mut lib, &constraints);
+                let mut scratch = engine.new_scratch();
+                let mut placement =
+                    Mapper::new(&g, &app, MapperConfig::default()).greedy_placement();
+                let nodes = g.mappable_nodes();
+                for (i, &a) in nodes.iter().enumerate() {
+                    // Infeasible placements count too: they route fully.
+                    let _ = engine.evaluate_report(&placement, &mut scratch);
+                    placement.swap_nodes(a, nodes[(7 * i + 3) % nodes.len()]);
+                }
+                assert_eq!(
+                    scratch.level_fallbacks(),
+                    0,
+                    "{} cores on {}",
+                    app.core_count(),
+                    g.kind()
+                );
+            }
         }
     }
 

@@ -50,6 +50,17 @@ impl std::fmt::Display for RoutingFunction {
 /// Hop-dominant Dijkstra cost: minimum-hop routes win, current load
 /// breaks ties so consecutive commodities spread out (paper Fig. 5
 /// step 6 increments edge weights by the routed bandwidth).
+///
+/// Because every edge costs at least `HOP_COST` and realistic path
+/// loads sum to far less, the vertices one hop further from the source
+/// all cost more than every vertex nearer it: Dijkstra's heap pops the
+/// search one BFS level at a time. The engine's MinPath routing relies
+/// on this level order to run without a heap
+/// (`paths::level_search_into`, called from `EvalEngine::route_cached`
+/// with `HOP_COST` as its minimum edge cost). The search checks the
+/// order at every level, and where a load of about `HOP_COST` or more
+/// breaks it, the engine routes that commodity with Dijkstra, as this
+/// module's reference does.
 pub(crate) const HOP_COST: f64 = 1.0e9;
 
 /// Caps keeping path enumeration tractable; quadrants of on-chip

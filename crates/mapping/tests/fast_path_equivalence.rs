@@ -169,8 +169,16 @@ proptest! {
         edges in proptest::collection::vec((0usize..12, 0usize..12, 5.0f64..400.0), 1..18),
         seed in 0u64..1_000_000,
         relaxed in 0usize..2,
+        integral in 0usize..2,
     ) {
         let g = topology(topo);
+        // Integer bandwidths from {8, 16, 32} make equal link loads, and
+        // so exact ties among MinPath's route costs.
+        let integral_bw = |bw: f64| [8.0, 16.0, 32.0][bw as usize % 3];
+        let edges: Vec<_> = edges
+            .into_iter()
+            .map(|(s, d, bw)| (s, d, if integral == 1 { integral_bw(bw) } else { bw }))
+            .collect();
         let app = build_app(cores, &edges);
         prop_assume!(app.edge_count() > 0);
         let routing = routing(rf);
@@ -522,4 +530,47 @@ fn delta_pruned_matches_exhaustive_when_costs_overflow() {
             }
         }
     }
+}
+
+/// A 5e9 MB/s demand, routed first (commodities go in decreasing
+/// bandwidth), loads its links far past MinPath's hop weight of 1e9, so
+/// commodities whose quadrants share those links meet search levels
+/// whose costs spread too widely for the heap-free level search, which
+/// must leave them to Dijkstra. The reports must still be the
+/// reference's, and the fallback must run somewhere: the butterfly's
+/// one-path quadrants never need it.
+#[test]
+fn min_path_matches_reference_past_the_hop_weight() {
+    let routing = RoutingFunction::MinPath;
+    let constraints = Constraints::relaxed_bandwidth();
+    let mut app = CoreGraph::new();
+    let cores: Vec<_> = (0..16)
+        .map(|i| app.add_core(format!("c{i}"), 1.0))
+        .collect();
+    app.add_traffic(cores[0], cores[15], 5e9)
+        .expect("valid demand");
+    for i in 1..8 {
+        app.add_traffic(cores[i], cores[15 - i], 100.0)
+            .expect("valid demand");
+        app.add_traffic(cores[0], cores[15 - i], 50.0)
+            .expect("valid demand");
+    }
+    let mut fallbacks = 0;
+    for g in builders::standard_library(16, 500.0).expect("library builds") {
+        let mut table = RouteTable::new(&g);
+        table.prepare(&g, routing);
+        let mut lib = AreaPowerLibrary::new(Technology::um_0_10());
+        let engine = EvalEngine::new(&g, &app, &table, routing, &mut lib, &constraints);
+        let mut scratch = engine.new_scratch();
+        for seed in 0..4 {
+            let placement = random_placement(&g, 16, seed);
+            let fast = engine.evaluate_report(&placement, &mut scratch).ok();
+            let reference = evaluate(&g, &app, placement, routing, &mut lib, &constraints)
+                .ok()
+                .map(|e| e.report);
+            assert_eq!(fast, reference, "{} seed {seed}", g.kind());
+        }
+        fallbacks += scratch.level_fallbacks();
+    }
+    assert!(fallbacks > 0, "no commodity needed the Dijkstra fallback");
 }

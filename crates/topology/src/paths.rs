@@ -5,6 +5,13 @@
 //! (paper §4.1 step 4–5): "Dijkstra's shortest path algorithm is applied
 //! to the quadrant graph and the minimum path is obtained". Source and
 //! destination are always considered allowed.
+//!
+//! [`dijkstra`] and its allocation-free body [`dijkstra_into`] are the
+//! reference shortest-path search. [`level_search_into`] gives the same
+//! answer without a heap when every edge costs more than any level's
+//! cost spread (the mapping engine's hop-dominant MinPath costs); it
+//! checks that condition level by level and reports when it does not
+//! hold, so its caller can fall back to [`dijkstra_into`].
 
 use std::cmp::Ordering;
 use std::collections::{BTreeSet, BinaryHeap, VecDeque};
@@ -137,10 +144,11 @@ impl PartialOrd for HeapEntry {
     }
 }
 
-/// Reusable Dijkstra state (dist / prev / heap) sized for one graph.
+/// Reusable shortest-path state (dist / prev / heap, and the two
+/// frontiers of [`level_search_into`]) sized for one graph.
 ///
 /// The mapping engine's steady-state candidate evaluation runs one
-/// Dijkstra per commodity per candidate; allocating these vectors fresh
+/// search per commodity per candidate; allocating these vectors fresh
 /// each time dominated small-search runtime. A scratch is reset lazily:
 /// only vertices touched by the previous search are cleared.
 #[derive(Debug, Default)]
@@ -149,6 +157,8 @@ pub struct DijkstraScratch {
     prev: Vec<Option<NodeId>>,
     touched: Vec<usize>,
     heap: BinaryHeap<HeapEntry>,
+    level: Vec<NodeId>,
+    next: Vec<NodeId>,
 }
 
 impl DijkstraScratch {
@@ -157,8 +167,7 @@ impl DijkstraScratch {
         DijkstraScratch {
             dist: vec![f64::INFINITY; node_count],
             prev: vec![None; node_count],
-            touched: Vec::new(),
-            heap: BinaryHeap::new(),
+            ..DijkstraScratch::default()
         }
     }
 
@@ -266,6 +275,181 @@ where
         }
     }
     None
+}
+
+/// Every vertex's outgoing edges paired with their heads, in
+/// [`TopologyGraph::outgoing`] order, in one flat array: the adjacency
+/// [`level_search_into`] walks, which reads an edge's head without
+/// looking the edge up.
+#[derive(Debug, Clone)]
+pub struct OutArcs {
+    start: Vec<u32>,
+    arcs: Vec<(u32, u32)>,
+}
+
+impl OutArcs {
+    /// Collects `g`'s outgoing edges.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `g` has `u32::MAX` or more vertices or edges.
+    pub fn new(g: &TopologyGraph) -> Self {
+        let index = |i: usize| u32::try_from(i).expect("graph fits u32 indices");
+        let mut start = Vec::with_capacity(g.node_count() + 1);
+        let mut arcs = Vec::with_capacity(g.edge_count());
+        start.push(0);
+        for u in g.nodes() {
+            arcs.extend(
+                g.outgoing(u)
+                    .iter()
+                    .map(|&e| (index(e.index()), index(g.edge(e).dst.index()))),
+            );
+            start.push(index(arcs.len()));
+        }
+        OutArcs { start, arcs }
+    }
+
+    fn node_count(&self) -> usize {
+        self.start.len() - 1
+    }
+
+    fn of(&self, u: NodeId) -> impl Iterator<Item = (EdgeId, NodeId)> + '_ {
+        let (from, to) = (self.start[u.index()], self.start[u.index() + 1]);
+        self.arcs[from as usize..to as usize]
+            .iter()
+            .map(|&(e, v)| (EdgeId(e as usize), NodeId(v as usize)))
+    }
+}
+
+/// [`level_search_into`] met a level whose costs spread too widely for
+/// the heap to pop it whole before the next; [`dijkstra_into`] gives
+/// the answer instead.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct NotLevelOrdered;
+
+/// [`dijkstra_into`] without a heap, for edge costs that dominate
+/// every path's cost spread: it returns the same cost and writes the
+/// same path whenever it returns `Ok`, and `Err(NotLevelOrdered)` when
+/// it cannot vouch for that, in which case the caller runs
+/// [`dijkstra_into`] (`path_out` and the scratch are then unspecified).
+/// `arcs` is the searched graph's [`OutArcs`], `admit` is
+/// [`dijkstra_into`]'s predicate, and `min_weight` must be a lower
+/// bound on every admitted edge's cost.
+///
+/// The search is breadth-first, one level at a time. Level 0 is
+/// `{src}`, and a vertex joins the level after the one whose expansion
+/// first reaches it. Expanding a level relaxes every admitted edge out
+/// of its vertices with `dijkstra_into`'s arithmetic,
+/// `c = dist[u] + cost(e)`. A smaller `c` replaces `v`'s dist and
+/// predecessor; an equal `c` replaces the predecessor only if
+/// `(dist[u], u) < (dist[prev[v]], prev[v])`, the order in which the
+/// heap pops entries, so `v` keeps the predecessor the heap would have
+/// popped first.
+///
+/// **Why the result is Dijkstra's.** Before a level is used, whether
+/// it is expanded or holds `dst`, its smallest and largest dists `m`
+/// and `M` must satisfy `M < m + min_weight` in `f64`; otherwise the
+/// search stops with `NotLevelOrdered`. When the check passes, every
+/// cost a relaxation out of the level computes is
+/// `c >= fl(m + min_weight) > M`, because `dist[u] >= m`,
+/// `cost(e) >= min_weight` and rounded addition is monotone. By induction every earlier level's dists are below
+/// `m`, so:
+///
+/// - the heap pops this whole level, in `(dist, id)` order, before any
+///   entry the level pushes, and no level is popped out of turn;
+/// - no edge within a level or back to an earlier one improves or ties
+///   a vertex, so a vertex's dist and predecessor come only from the
+///   previous level, and the tie rule above picks the one popped first;
+/// - in particular the vertices the heap pops before `dst` on `dst`'s
+///   level cannot improve `dst`, so returning `dist[dst]` and its
+///   predecessor chain as soon as `dst`'s level passes the check is
+///   what the heap returns when it pops `dst`.
+///
+/// An empty level means `dst` is unreachable, as an empty heap does.
+/// The check costs one pass over each level; with the mapping engine's
+/// costs (a hop weight of `1e9` plus a link load in MB/s) it never
+/// fails on realistic traffic.
+///
+/// # Panics
+///
+/// Debug-asserts that every admitted edge costs at least `min_weight`.
+#[allow(clippy::too_many_arguments)]
+pub fn level_search_into<P, F>(
+    arcs: &OutArcs,
+    src: NodeId,
+    dst: NodeId,
+    admit: P,
+    mut edge_cost: F,
+    min_weight: f64,
+    scratch: &mut DijkstraScratch,
+    path_out: &mut Vec<NodeId>,
+) -> Result<Option<f64>, NotLevelOrdered>
+where
+    P: Fn(NodeId) -> bool,
+    F: FnMut(EdgeId) -> f64,
+{
+    debug_assert_eq!(scratch.dist.len(), arcs.node_count());
+    scratch.reset();
+    let DijkstraScratch {
+        dist,
+        prev,
+        touched,
+        level,
+        next,
+        ..
+    } = scratch;
+    dist[src.index()] = 0.0;
+    touched.push(src.index());
+    level.clear();
+    level.push(src);
+    while !level.is_empty() {
+        let (mut lo, mut hi, mut holds_dst) = (f64::INFINITY, f64::NEG_INFINITY, false);
+        for &u in level.iter() {
+            let d = dist[u.index()];
+            lo = lo.min(d);
+            hi = hi.max(d);
+            holds_dst |= u == dst;
+        }
+        let level_ordered = hi < lo + min_weight;
+        if !level_ordered {
+            return Err(NotLevelOrdered);
+        }
+        if holds_dst {
+            reconstruct_into(prev, src, dst, path_out);
+            return Ok(Some(dist[dst.index()]));
+        }
+        next.clear();
+        for &u in level.iter() {
+            let du = dist[u.index()];
+            for (e, v) in arcs.of(u) {
+                if !admit(v) {
+                    continue;
+                }
+                let w = edge_cost(e);
+                debug_assert!(w >= min_weight, "edge cost below min_weight");
+                let c = du + w;
+                let dv = dist[v.index()];
+                if c < dv {
+                    if dv == f64::INFINITY {
+                        touched.push(v.index());
+                        next.push(v);
+                    }
+                    dist[v.index()] = c;
+                    prev[v.index()] = Some(u);
+                } else if c == dv {
+                    // An infinite `c` ties an unreached `v`, which has no
+                    // predecessor and stays unreached, as in the heap.
+                    if let Some(p) = prev[v.index()] {
+                        if du.total_cmp(&dist[p.index()]).then(u.cmp(&p)) == Ordering::Less {
+                            prev[v.index()] = Some(u);
+                        }
+                    }
+                }
+            }
+        }
+        std::mem::swap(level, next);
+    }
+    Ok(None)
 }
 
 /// Enumerates every minimum-hop path from `src` to `dst` (up to `cap`

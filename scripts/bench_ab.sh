@@ -15,7 +15,8 @@
 # perfbench/compare.py prints its verdicts. The sunmap-bench-record/1
 # record, shaped like BENCH_15.json but with `traced` a list with one
 # entry per workload, goes to FILE (default target/bench-ab/record.json);
-# an existing FILE for the same parent gains the new entries instead.
+# an existing FILE for the same parent gains the new entries instead,
+# and one for another parent stops the script before it builds anything.
 # Each run clears only the previous run's results, logs and verdicts, so
 # a record under target/bench-ab survives to be appended to. The export
 # is removed on exit.
@@ -64,9 +65,22 @@ build_cmd=$(bench 'c = b["command"][:b["command"].index("--")]; c[c.index("run")
 
 out=$root/target/bench-ab
 tree=$out/parent-tree
+record=${record:-$out/record.json}
+# An existing record of another parent cannot take this run's entries:
+# refuse before anything is cleared, exported or built.
+if [ -f "$record" ]; then
+    python3 - "$record" "$parent_commit" <<'EOF'
+import json
+import sys
+
+path, parent_commit = sys.argv[1:]
+with open(path) as f:
+    if json.load(f).get("parent_commit") != parent_commit:
+        sys.exit(f"bench-ab: {path} records another parent; not appending")
+EOF
+fi
 rm -rf "$out/parent" "$out/change" "$out/parent.log" "$out/change.log" "$out/compare.txt" "$tree"
 mkdir -p "$out/parent" "$out/change" "$tree"
-record=${record:-$out/record.json}
 trap 'rm -rf "$tree"' EXIT
 trap 'exit 130' INT TERM
 git archive "$parent_commit" | tar -x -C "$tree"
@@ -182,10 +196,9 @@ for workload in sorted({r["workload"] for r in parent}, key=[r["workload"] for r
             entries[traced].append(entry(workload, traced, p, c))
 
 if os.path.exists(record_path):
+    # Its parent was checked before the builds.
     with open(record_path) as f:
         record = json.load(f)
-    if record.get("parent_commit") != parent_commit:
-        sys.exit(f"bench-ab: {record_path} records another parent; not appending")
 else:
     dirty = bool(git("status", "--porcelain", "--untracked-files=no"))
     head = git("rev-parse", "HEAD")

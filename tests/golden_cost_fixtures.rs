@@ -304,8 +304,9 @@ struct PruneFixture {
     kind: &'static str,
     /// Candidate reports `run_observed` saw (the greedy seed included).
     observed: usize,
-    /// `Ok(power_mw)` of the feasible winner, or `Err(max_link_load)`
-    /// of the least-infeasible mapping.
+    /// `Ok` of the feasible winner's objective metric (`power_mw`
+    /// under MinPower, `avg_hops` under MinDelay), or
+    /// `Err(max_link_load)` of the least-infeasible mapping.
     outcome: Result<f64, f64>,
 }
 
@@ -363,6 +364,86 @@ fn pruning_counters_match_the_pinned_goldens() {
         assert_eq!(observed, f.observed, "{}: candidate count drifted", f.kind);
         assert_eq!(outcome, f.outcome, "{}: outcome drifted", f.kind);
     }
+}
+
+/// The MinPath scale smoke: `synth:seed=7,cores=128` explored under
+/// MinDelay / MP at 500 MB/s links, the lazy-table regime in which
+/// four of the five topologies end infeasible. Each topology's
+/// outcome and candidate count are pinned, as [`PRUNE_FIXTURES`] does
+/// at 32 cores. The
+/// run takes 15–16 s in release on a 2-vCPU box, so `make scale-smoke`
+/// opts in through `SUNMAP_SCALE_SMOKE=1`, under the bound
+/// [`MP_SMOKE_SECS`]. Captured in a release build that routed every
+/// MinPath commodity with the heap-based `paths::dijkstra_into`, the
+/// level search's oracle.
+const MP_SCALE_FIXTURES: &[PruneFixture] = &[
+    PruneFixture {
+        kind: "Mesh",
+        observed: 373,
+        outcome: Err(796.8364817914647),
+    },
+    PruneFixture {
+        kind: "Torus",
+        observed: 904,
+        outcome: Err(646.0785716954762),
+    },
+    PruneFixture {
+        kind: "Hypercube",
+        observed: 361,
+        outcome: Ok(2.7697985011853308),
+    },
+    PruneFixture {
+        kind: "Clos",
+        observed: 683,
+        outcome: Err(589.6919303759391),
+    },
+    PruneFixture {
+        kind: "Butterfly",
+        observed: 7400,
+        outcome: Err(2190.390433345309),
+    },
+];
+
+/// Wall-clock bound of the MinPath scale smoke, about four times its
+/// 15–16 s in release on a 2-vCPU box.
+const MP_SMOKE_SECS: u64 = 60;
+
+#[test]
+fn min_path_scale_smoke_pins_the_128_core_explore() {
+    if std::env::var_os("SUNMAP_SCALE_SMOKE").is_none() {
+        eprintln!("skipping 128-core MinPath smoke (set SUNMAP_SCALE_SMOKE=1 to run)");
+        return;
+    }
+    let app = scale_app(128);
+    let library = builders::standard_library(128, 500.0).expect("library builds");
+    assert_eq!(library.len(), MP_SCALE_FIXTURES.len());
+    let start = Instant::now();
+    for (g, f) in library.iter().zip(MP_SCALE_FIXTURES) {
+        assert_eq!(g.kind().name(), f.kind, "library order drifted");
+        let config = MapperConfig {
+            routing: RoutingFunction::MinPath,
+            objective: Objective::MinDelay,
+            ..MapperConfig::default()
+        };
+        let mut observed = 0usize;
+        let outcome = match Mapper::new(g, &app, config).run_observed(|_| observed += 1) {
+            Ok(mapping) => {
+                assert_eq!(mapping.evaluated_candidates(), observed, "{}", f.kind);
+                Ok(mapping.report().avg_hops)
+            }
+            Err(MappingError::NoFeasibleMapping(best)) => Err(best.max_link_load),
+            Err(e) => panic!("{}: unexpected error {e}", f.kind),
+        };
+        println!("{}: {observed} candidates, {outcome:?}", f.kind);
+        assert_eq!(observed, f.observed, "{}: candidate count drifted", f.kind);
+        assert_eq!(outcome, f.outcome, "{}: outcome drifted", f.kind);
+    }
+    let elapsed = start.elapsed();
+    println!("128-core MinPath smoke took {elapsed:.1?}");
+    assert!(
+        elapsed < Duration::from_secs(MP_SMOKE_SECS),
+        "128-core MinPath smoke took {elapsed:.1?} (bound: {MP_SMOKE_SECS} s)"
+    );
 }
 
 /// The 4096-core acceptance smoke: a 64×64 mesh maps end to end under
