@@ -51,9 +51,10 @@ bench-record:
 ## the working tree, runs ten pairs of every workload at its run length,
 ## alternating which side goes first (about 35 minutes; keep the machine
 ## idle), prints perfbench/compare.py's verdicts and writes a
-## sunmap-bench-record/1 file to target/bench-ab/record.json. Not part of
-## `make ci`. scripts/bench_ab.sh takes more options (seed, pairs,
-## traced runs, workloads, record file).
+## sunmap-bench-record/1 file to target/bench-ab/record-<parent>.json
+## (the parent's first 12 hex digits), so an older A/B's record is never
+## in the way. Not part of `make ci`. scripts/bench_ab.sh takes more
+## options (seed, pairs, traced runs, workloads, record file).
 bench-ab:
 	@test -n "$(PARENT)" || { echo "usage: make bench-ab PARENT=<rev>" >&2; exit 2; }
 	sh scripts/bench_ab.sh $(PARENT)

@@ -74,7 +74,9 @@
 //!    **early-exit bound**: after every routed commodity the partial
 //!    cost plus an optimistic bound for the unrouted suffix is compared
 //!    against the incumbent — the evaluation is abandoned the moment it
-//!    can no longer win. Under MinPath the commodities before the first
+//!    can no longer win. The partial cost (max load, overload, switch
+//!    and link power) is tracked in the walk that accumulates the loads,
+//!    as each flow lands. Under MinPath the commodities before the first
 //!    one incident to the swap reuse the base's routes (**routed-prefix
 //!    reuse**): their endpoints and the loads they see are the base's,
 //!    so Dijkstra would find the same paths. As in the paper's Fig. 5,
@@ -97,7 +99,9 @@
 //! decisions (and therefore the evaluation counts) deterministic at any
 //! worker count.
 
-use crate::routing::{assign_chunks, DETOUR_SLACK, HOP_COST, MAX_SPLIT_PATHS, SPLIT_CHUNKS};
+use crate::routing::{
+    assign_chunks, BANDWIDTH_TOLERANCE, DETOUR_SLACK, HOP_COST, MAX_SPLIT_PATHS, SPLIT_CHUNKS,
+};
 use crate::{
     layout_blocks, Constraints, CostReport, LayoutBlocks, MappingError, Objective, Placement,
     RoutingFunction,
@@ -147,12 +151,6 @@ fn clearly_above(bound: f64, target: f64) -> bool {
 /// bounded evaluation checks, so a swap the cut drops is one whose
 /// bounded evaluation would have returned `None`.
 const CUT_MARGIN: f64 = (1.0 + PRUNE_MARGIN) * (1.0 + PRUNE_MARGIN);
-
-/// Relative slack on link-capacity checks — the same `1 + 1e-9` factor
-/// the reference evaluator applies, shared between the report's
-/// `bandwidth_ok` and the sweep's overload detection so the two can
-/// never drift apart.
-const BANDWIDTH_TOLERANCE: f64 = 1.0 + 1e-9;
 
 /// How the mapper's phase-3 sweep scores candidate swaps. There is one
 /// sweep ([`EvalEngine::sweep`]); the strategy only picks its per-pair
@@ -895,8 +893,8 @@ pub struct EvalEngine<'a> {
 
 impl<'a> EvalEngine<'a> {
     /// Creates an engine for `app` on `g`. `table` must already be
-    /// [prepared](RouteTable::prepare) for `routing`; `lib` is used to
-    /// warm the switch area/energy caches and cloned for link power.
+    /// [prepared](RouteTable::prepare) for `routing`; `lib` fills the
+    /// per-switch area and energy arrays and is copied for link power.
     ///
     /// # Panics
     ///
@@ -907,7 +905,7 @@ impl<'a> EvalEngine<'a> {
         app: &'a CoreGraph,
         table: &'a RouteTable,
         routing: RoutingFunction,
-        lib: &mut AreaPowerLibrary,
+        lib: &AreaPowerLibrary,
         constraints: &Constraints,
     ) -> Self {
         assert!(table.matches(g), "route table built for a different graph");
@@ -984,7 +982,7 @@ impl<'a> EvalEngine<'a> {
             total_bw_all,
             switch_count: g.switch_count(),
             link_count: g.network_channel_count() + g.attach_channel_count(),
-            lib: lib.clone(),
+            lib: *lib,
         }
     }
 
@@ -1026,12 +1024,12 @@ impl<'a> EvalEngine<'a> {
         for c in &self.commodities {
             let src = placement.node_of(c.src);
             let dst = placement.node_of(c.dst);
-            let hops = self.route_cached(src, dst, c.bandwidth, scratch).ok_or(
-                MappingError::Unroutable {
+            let hops = self
+                .route_cached(src, dst, c.bandwidth, scratch, None)
+                .ok_or(MappingError::Unroutable {
                     src: c.src.index(),
                     dst: c.dst.index(),
-                },
-            )?;
+                })?;
             totals.add(c.bandwidth, hops);
         }
 
@@ -1142,22 +1140,25 @@ impl<'a> EvalEngine<'a> {
     }
 
     /// Routes one commodity using the cached per-pair state,
-    /// accumulating loads and switch traffic into `scratch`. Returns
-    /// the commodity's fraction-weighted switch hops, or `None` when no
-    /// route exists (the reference's `route_commodity` `None`).
+    /// accumulating loads and switch traffic into `scratch` and, in a
+    /// bounded evaluation, its partial cost into `track` (see
+    /// [`BoundTracker`]). Returns the commodity's fraction-weighted
+    /// switch hops, or `None` when no route exists (the reference's
+    /// `route_commodity` `None`).
     fn route_cached(
         &self,
         src: NodeId,
         dst: NodeId,
         bandwidth: f64,
         scratch: &mut EvalScratch,
+        track: Option<&mut BoundTracker>,
     ) -> Option<f64> {
         let g = self.g;
         match self.routing {
             RoutingFunction::DimensionOrdered => {
                 let entry = self.table.dimension_ordered_route(src, dst);
                 let cached = entry.as_ref()?;
-                Some(accumulate_cached(cached, 1.0, bandwidth, scratch))
+                Some(self.accumulate_cached(cached, 1.0, bandwidth, scratch, track))
             }
             RoutingFunction::MinPath => {
                 let quad = self.table.quadrant_pair(src, dst);
@@ -1193,15 +1194,15 @@ impl<'a> EvalEngine<'a> {
                     }
                 };
                 found?;
-                Some(self.accumulate_dynamic(1.0, bandwidth, scratch))
+                Some(self.accumulate_dynamic(bandwidth, scratch, track))
             }
             RoutingFunction::SplitMinPaths => {
                 let set = self.table.split_min_paths(src, dst);
-                self.accumulate_split(&set, bandwidth, scratch)
+                self.accumulate_split(&set, bandwidth, scratch, track)
             }
             RoutingFunction::SplitAllPaths => {
                 let set = self.table.split_all_paths(src, dst);
-                self.accumulate_split(&set, bandwidth, scratch)
+                self.accumulate_split(&set, bandwidth, scratch, track)
             }
         }
     }
@@ -1214,10 +1215,11 @@ impl<'a> EvalEngine<'a> {
         candidates: &[CachedPath],
         bandwidth: f64,
         scratch: &mut EvalScratch,
+        mut track: Option<&mut BoundTracker>,
     ) -> Option<f64> {
         match candidates {
             [] => None,
-            [only] => Some(accumulate_cached(only, 1.0, bandwidth, scratch)),
+            [only] => Some(self.accumulate_cached(only, 1.0, bandwidth, scratch, track)),
             _ => {
                 {
                     let EvalScratch {
@@ -1250,7 +1252,8 @@ impl<'a> EvalEngine<'a> {
                     let n = scratch.chunks[i];
                     if n > 0 {
                         let fraction = n as f64 / SPLIT_CHUNKS as f64;
-                        hops += accumulate_cached(cand, fraction, bandwidth, scratch);
+                        let track = track.as_deref_mut();
+                        hops += self.accumulate_cached(cand, fraction, bandwidth, scratch, track);
                     }
                 }
                 Some(hops)
@@ -1258,14 +1261,48 @@ impl<'a> EvalEngine<'a> {
         }
     }
 
-    /// Accumulates the freshly found MinPath route held in
-    /// `scratch.path`.
-    fn accumulate_dynamic(&self, fraction: f64, bandwidth: f64, scratch: &mut EvalScratch) -> f64 {
-        let g = self.g;
+    /// Adds one cached path's flow onto the load and switch-traffic
+    /// accumulators, mirroring the reference's per-path loop order.
+    fn accumulate_cached(
+        &self,
+        cached: &CachedPath,
+        fraction: f64,
+        bandwidth: f64,
+        scratch: &mut EvalScratch,
+        mut track: Option<&mut BoundTracker>,
+    ) -> f64 {
         let flow = bandwidth * fraction;
         let EvalScratch {
             link_loads,
             switch_traffic,
+            edge_len,
+            ..
+        } = scratch;
+        for e in &cached.edges {
+            self.land_on_edge(e.index(), flow, link_loads, edge_len, track.as_deref_mut());
+        }
+        for n in &cached.switch_nodes {
+            switch_traffic[n.index()] += flow;
+            if let Some(track) = track.as_deref_mut() {
+                track.switch_power += flow * self.switch_rate[n.index()];
+            }
+        }
+        fraction * cached.switch_nodes.len() as f64
+    }
+
+    /// Accumulates `flow`, a whole commodity, along the MinPath route
+    /// held in `scratch.path`, as [`EvalEngine::accumulate_cached`] does
+    /// along a cached one.
+    fn accumulate_dynamic(
+        &self,
+        flow: f64,
+        scratch: &mut EvalScratch,
+        mut track: Option<&mut BoundTracker>,
+    ) -> f64 {
+        let EvalScratch {
+            link_loads,
+            switch_traffic,
+            edge_len,
             path,
             ..
         } = scratch;
@@ -1275,16 +1312,48 @@ impl<'a> EvalEngine<'a> {
                 .adj
                 .edge_between(w[0], w[1])
                 .expect("routed paths follow topology edges");
-            link_loads[e.index()] += flow;
+            self.land_on_edge(e.index(), flow, link_loads, edge_len, track.as_deref_mut());
         }
         let mut switch_hops = 0usize;
         for n in path.iter() {
-            if g.node_kind(*n) == NodeKind::Switch {
+            if self.g.node_kind(*n) == NodeKind::Switch {
                 switch_traffic[n.index()] += flow;
+                if let Some(track) = track.as_deref_mut() {
+                    track.switch_power += flow * self.switch_rate[n.index()];
+                }
                 switch_hops += 1;
             }
         }
-        fraction * switch_hops as f64
+        switch_hops as f64
+    }
+
+    /// Adds `flow` onto edge `edge`'s load, then folds the load it landed
+    /// on into a bounded evaluation's tracker. Link power is tracked
+    /// only while the power bound is live: only then does `edge_len`
+    /// hold this candidate's link lengths. Always inlined: it runs for
+    /// every edge of every routed path, and left a call it cost
+    /// synth-scale about 2 % of `wall_s`.
+    #[inline(always)]
+    fn land_on_edge(
+        &self,
+        edge: usize,
+        flow: f64,
+        link_loads: &mut [f64],
+        edge_len: &[f64],
+        track: Option<&mut BoundTracker>,
+    ) {
+        link_loads[edge] += flow;
+        let Some(track) = track else { return };
+        if self.net_edge[edge] {
+            let load = link_loads[edge];
+            if load > track.max_load {
+                track.max_load = load;
+            }
+            track.over |= load > self.edge_capacity[edge] * BANDWIDTH_TOLERANCE;
+        }
+        if let Some(link_power) = &mut track.link_power {
+            *link_power += flow * self.link_rate_mm * edge_len[edge];
+        }
     }
 
     /// The bandwidth-independent optimistic hop mass of a mappable
@@ -1381,7 +1450,7 @@ impl<'a> EvalEngine<'a> {
         for c in &self.commodities {
             let src = placement.node_of(c.src);
             let dst = placement.node_of(c.dst);
-            let hops = self.route_cached(src, dst, c.bandwidth, scratch)?;
+            let hops = self.route_cached(src, dst, c.bandwidth, scratch, None)?;
             if self.routing == RoutingFunction::MinPath {
                 routes.extend_from_slice(&scratch.path);
                 route_ends.push(routes.len());
@@ -1901,12 +1970,11 @@ impl<'a> EvalEngine<'a> {
                 Some((base, first_incident)) if i < first_incident => {
                     scratch.path.clear();
                     scratch.path.extend_from_slice(base.route(i));
-                    self.accumulate_dynamic(1.0, c.bandwidth, scratch)
+                    self.accumulate_dynamic(c.bandwidth, scratch, Some(&mut track))
                 }
-                _ => self.route_cached(src, dst, c.bandwidth, scratch)?,
+                _ => self.route_cached(src, dst, c.bandwidth, scratch, Some(&mut track))?,
             };
             totals.add(c.bandwidth, hops);
-            self.track_commodity(src, dst, c.bandwidth, scratch, &mut track);
             let certainly_infeasible = track.over && self.constraints.enforce_bandwidth;
             if inc.feasible {
                 if certainly_infeasible {
@@ -2010,97 +2078,6 @@ impl<'a> EvalEngine<'a> {
             }
         }
         len_min
-    }
-
-    /// Updates the bound tracker with the commodity just routed into
-    /// `scratch` — re-walking the realised routes (the accumulators
-    /// themselves are untouched, so the authoritative sums cannot
-    /// drift).
-    fn track_commodity(
-        &self,
-        src: NodeId,
-        dst: NodeId,
-        bandwidth: f64,
-        scratch: &EvalScratch,
-        track: &mut BoundTracker,
-    ) {
-        match self.routing {
-            RoutingFunction::DimensionOrdered => {
-                let entry = self.table.dimension_ordered_route(src, dst);
-                let path = entry.as_ref().expect("just routed");
-                self.track_cached(path, 1.0, bandwidth, scratch, track);
-            }
-            RoutingFunction::MinPath => {
-                for w in scratch.path.windows(2) {
-                    let e = self
-                        .table
-                        .adj
-                        .edge_between(w[0], w[1])
-                        .expect("routed paths follow topology edges");
-                    self.track_edge(e.index(), bandwidth, scratch, track);
-                }
-                for node in &scratch.path {
-                    if self.g.node_kind(*node) == NodeKind::Switch {
-                        track.switch_power += bandwidth * self.switch_rate[node.index()];
-                    }
-                }
-            }
-            RoutingFunction::SplitMinPaths | RoutingFunction::SplitAllPaths => {
-                let candidates = if self.routing == RoutingFunction::SplitMinPaths {
-                    self.table.split_min_paths(src, dst)
-                } else {
-                    self.table.split_all_paths(src, dst)
-                };
-                match candidates.as_slice() {
-                    [] => unreachable!("just routed"),
-                    [only] => self.track_cached(only, 1.0, bandwidth, scratch, track),
-                    _ => {
-                        for (i, cand) in candidates.iter().enumerate() {
-                            let chunks = scratch.chunks[i];
-                            if chunks > 0 {
-                                let fraction = chunks as f64 / SPLIT_CHUNKS as f64;
-                                self.track_cached(cand, fraction, bandwidth, scratch, track);
-                            }
-                        }
-                    }
-                }
-            }
-        }
-    }
-
-    fn track_cached(
-        &self,
-        path: &CachedPath,
-        fraction: f64,
-        bandwidth: f64,
-        scratch: &EvalScratch,
-        track: &mut BoundTracker,
-    ) {
-        let flow = bandwidth * fraction;
-        for e in &path.edges {
-            self.track_edge(e.index(), flow, scratch, track);
-        }
-        for node in &path.switch_nodes {
-            track.switch_power += flow * self.switch_rate[node.index()];
-        }
-    }
-
-    /// Folds one edge the routed commodity crossed into the tracker.
-    /// Loads only ever grow during accumulation, so the partial values
-    /// read here are true lower bounds of the final ones. Link power is
-    /// added only while the power bound is live: only then does
-    /// `scratch.edge_len` hold this candidate's link lengths.
-    fn track_edge(&self, edge: usize, flow: f64, scratch: &EvalScratch, track: &mut BoundTracker) {
-        if self.net_edge[edge] {
-            let load = scratch.link_loads[edge];
-            if load > track.max_load {
-                track.max_load = load;
-            }
-            track.over |= load > self.edge_capacity[edge] * BANDWIDTH_TOLERANCE;
-        }
-        if let Some(link_power) = &mut track.link_power {
-            *link_power += flow * self.link_rate_mm * scratch.edge_len[edge];
-        }
     }
 
     /// One phase-3 pass: scores every `(a, b)` swap of `base_placement`
@@ -2368,9 +2345,26 @@ impl SweepBase {
     }
 }
 
-/// Partial-cost tracker of one bounded evaluation. All fields are
-/// monotone under further routing, so comparing them against the
-/// incumbent mid-evaluation is sound.
+/// Partial-cost tracker of one bounded evaluation, updated by the
+/// accumulators as each flow lands. All fields are monotone under
+/// further routing, so comparing them against the incumbent
+/// mid-evaluation is sound.
+///
+/// After each commodity the fields hold exactly what a walk of its
+/// routes over its final loads would give:
+///
+/// * every flow is positive: `CoreGraph::add_traffic` admits only
+///   finite bandwidths > 0, split fractions are `n / SPLIT_CHUNKS` with
+///   `n > 0`, and rounded addition of a non-negative flow never lowers
+///   a load;
+/// * so within one commodity an edge's load only grows, and the
+///   commodity's last visit of an edge reads its final load, also when
+///   candidate paths of a split share the edge;
+/// * `max_load` is a maximum and `over` an OR over those reads, so the
+///   earlier, smaller reads change neither;
+/// * `link_power` and `switch_power` add one `flow × rate` product per
+///   edge and per switch crossed: per path, its edges and then its
+///   switches, with split candidates in chunk order.
 #[derive(Debug)]
 struct BoundTracker {
     switch_power: f64,
@@ -2443,24 +2437,6 @@ fn worker_count(pairs: usize) -> usize {
     cpus.min(pairs / MIN_PAIRS_PER_WORKER).max(1)
 }
 
-/// Adds one cached path's flow onto the load and switch-traffic
-/// accumulators, mirroring the reference's per-path loop order.
-fn accumulate_cached(
-    cached: &CachedPath,
-    fraction: f64,
-    bandwidth: f64,
-    scratch: &mut EvalScratch,
-) -> f64 {
-    let flow = bandwidth * fraction;
-    for e in &cached.edges {
-        scratch.link_loads[e.index()] += flow;
-    }
-    for n in &cached.switch_nodes {
-        scratch.switch_traffic[n.index()] += flow;
-    }
-    fraction * cached.switch_nodes.len() as f64
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -2500,8 +2476,8 @@ mod tests {
         ];
         for (strategy, routing) in inputs {
             for objective in [Objective::MinDelay, Objective::MinPower] {
-                let (table, mut lib, constraints) = engine_fixture(&g, routing);
-                let engine = EvalEngine::new(&g, &app, &table, routing, &mut lib, &constraints);
+                let (table, lib, constraints) = engine_fixture(&g, routing);
+                let engine = EvalEngine::new(&g, &app, &table, routing, &lib, &constraints);
                 let config = MapperConfig {
                     routing,
                     objective,
@@ -2544,12 +2520,12 @@ mod tests {
         for g in builders::standard_library(12, 500.0).unwrap() {
             let app = benchmarks::vopd();
             let routing = RoutingFunction::MinPath;
-            let (table, mut lib, constraints) = engine_fixture(&g, routing);
-            let engine = EvalEngine::new(&g, &app, &table, routing, &mut lib, &constraints);
+            let (table, lib, constraints) = engine_fixture(&g, routing);
+            let engine = EvalEngine::new(&g, &app, &table, routing, &lib, &constraints);
             let placement = Mapper::new(&g, &app, MapperConfig::default()).greedy_placement();
             let mut scratch = engine.new_scratch();
             let fast = engine.evaluate_report(&placement, &mut scratch).unwrap();
-            let reference = evaluate(&g, &app, placement, routing, &mut lib, &constraints)
+            let reference = evaluate(&g, &app, placement, routing, &lib, &constraints)
                 .unwrap()
                 .report;
             assert_eq!(fast, reference, "{} diverged", g.kind());
@@ -2574,8 +2550,8 @@ mod tests {
             (synth.generate(), 500.0),
         ] {
             for g in builders::standard_library(app.core_count(), capacity).unwrap() {
-                let (table, mut lib, constraints) = engine_fixture(&g, routing);
-                let engine = EvalEngine::new(&g, &app, &table, routing, &mut lib, &constraints);
+                let (table, lib, constraints) = engine_fixture(&g, routing);
+                let engine = EvalEngine::new(&g, &app, &table, routing, &lib, &constraints);
                 let mut scratch = engine.new_scratch();
                 let mut placement =
                     Mapper::new(&g, &app, MapperConfig::default()).greedy_placement();
@@ -2625,8 +2601,8 @@ mod tests {
         let g = builders::mesh(4, 4, 500.0).unwrap();
         let app = benchmarks::vopd();
         let routing = RoutingFunction::MinPath;
-        let (table, mut lib, constraints) = engine_fixture(&g, routing);
-        let engine = EvalEngine::new(&g, &app, &table, routing, &mut lib, &constraints);
+        let (table, lib, constraints) = engine_fixture(&g, routing);
+        let engine = EvalEngine::new(&g, &app, &table, routing, &lib, &constraints);
         let base = Mapper::new(&g, &app, MapperConfig::new(routing, Objective::MinDelay))
             .greedy_placement();
         let base_report = engine
@@ -2705,8 +2681,8 @@ mod tests {
                     ..Constraints::default()
                 },
             };
-            let (table, mut lib, _) = engine_fixture(&g, routing);
-            let engine = EvalEngine::new(&g, &app, &table, routing, &mut lib, &constraints);
+            let (table, lib, _) = engine_fixture(&g, routing);
+            let engine = EvalEngine::new(&g, &app, &table, routing, &lib, &constraints);
             let mut scratch = engine.new_scratch();
             let candidate = keyed_placement(&g, app.core_count(), &candidate_keys);
             let incumbent = keyed_placement(&g, app.core_count(), &incumbent_keys);
@@ -2803,8 +2779,8 @@ mod tests {
             } else {
                 Constraints::default()
             };
-            let (table, mut lib, _) = engine_fixture(&g, routing);
-            let engine = EvalEngine::new(&g, &app, &table, routing, &mut lib, &constraints);
+            let (table, lib, _) = engine_fixture(&g, routing);
+            let engine = EvalEngine::new(&g, &app, &table, routing, &lib, &constraints);
             let mut scratch = engine.new_scratch();
             let base_placement = keyed_placement(&g, app.core_count(), &base_keys);
             let incumbent_keys = if incumbent_is_base {

@@ -7,6 +7,7 @@
 //! loop uses the fast path; the reference evaluates the initial
 //! placement and re-materialises the winning candidate.
 
+use crate::routing::BANDWIDTH_TOLERANCE;
 use crate::{
     layout_blocks, route_commodity, Constraints, CostReport, LayoutBlocks, MappingError, Placement,
     RoutingFunction,
@@ -78,13 +79,13 @@ fn switch_hops(g: &TopologyGraph, path: &[NodeId]) -> usize {
 /// let mesh = builders::mesh(3, 4, 500.0)?;
 /// let vopd = benchmarks::vopd();
 /// let placement = Placement::new(mesh.mappable_nodes()[..12].to_vec(), &mesh)?;
-/// let mut lib = AreaPowerLibrary::new(Technology::um_0_10());
+/// let lib = AreaPowerLibrary::new(Technology::um_0_10());
 /// let eval = evaluate(
 ///     &mesh,
 ///     &vopd,
 ///     placement,
 ///     RoutingFunction::MinPath,
-///     &mut lib,
+///     &lib,
 ///     &Constraints::default(),
 /// )?;
 /// assert_eq!(eval.routes.len(), 14);
@@ -96,7 +97,7 @@ pub fn evaluate(
     app: &CoreGraph,
     placement: Placement,
     routing: RoutingFunction,
-    lib: &mut AreaPowerLibrary,
+    lib: &AreaPowerLibrary,
     constraints: &Constraints,
 ) -> Result<Evaluation, MappingError> {
     let mut link_loads = vec![0.0f64; g.edge_count()];
@@ -202,7 +203,7 @@ pub fn evaluate(
 
     // Fig. 5 step 8: feasibility and cost.
     let bandwidth_ok = g.edges().all(|(eid, edge)| {
-        !edge.is_network_link() || link_loads[eid.index()] <= edge.capacity * (1.0 + 1e-9)
+        !edge.is_network_link() || link_loads[eid.index()] <= edge.capacity * BANDWIDTH_TOLERANCE
     });
     let chip_aspect = floorplan.chip_aspect();
     let area_ok = constraints
@@ -277,16 +278,8 @@ mod tests {
         let g = builders::mesh(3, 4, 500.0).unwrap();
         let app = benchmarks::vopd();
         let placement = Placement::new(g.mappable_nodes()[..12].to_vec(), &g).unwrap();
-        let mut lib = AreaPowerLibrary::new(Technology::um_0_10());
-        evaluate(
-            &g,
-            &app,
-            placement,
-            routing,
-            &mut lib,
-            &Constraints::default(),
-        )
-        .unwrap()
+        let lib = AreaPowerLibrary::new(Technology::um_0_10());
+        evaluate(&g, &app, placement, routing, &lib, &Constraints::default()).unwrap()
     }
 
     #[test]
@@ -361,13 +354,13 @@ mod tests {
         let g = builders::butterfly(4, 2, 500.0).unwrap();
         let app = benchmarks::vopd();
         let placement = Placement::new(g.mappable_nodes()[..12].to_vec(), &g).unwrap();
-        let mut lib = AreaPowerLibrary::new(Technology::um_0_10());
+        let lib = AreaPowerLibrary::new(Technology::um_0_10());
         let eval = evaluate(
             &g,
             &app,
             placement,
             RoutingFunction::MinPath,
-            &mut lib,
+            &lib,
             &Constraints::default(),
         )
         .unwrap();
@@ -380,13 +373,13 @@ mod tests {
         let g = builders::mesh(3, 4, 100.0).unwrap(); // tiny links
         let app = benchmarks::vopd();
         let placement = Placement::new(g.mappable_nodes()[..12].to_vec(), &g).unwrap();
-        let mut lib = AreaPowerLibrary::new(Technology::um_0_10());
+        let lib = AreaPowerLibrary::new(Technology::um_0_10());
         let eval = evaluate(
             &g,
             &app,
             placement,
             RoutingFunction::MinPath,
-            &mut lib,
+            &lib,
             &Constraints::default(),
         )
         .unwrap();

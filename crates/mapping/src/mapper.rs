@@ -225,7 +225,7 @@ impl<'a> Mapper<'a> {
             app,
             initial,
             config.routing,
-            &mut self.lib,
+            &self.lib,
             &config.constraints,
         )?;
         observer(&best.report);
@@ -241,7 +241,7 @@ impl<'a> Mapper<'a> {
             app,
             table,
             config.routing,
-            &mut self.lib,
+            &self.lib,
             &config.constraints,
         );
         let nodes = graph.mappable_nodes();
@@ -270,7 +270,7 @@ impl<'a> Mapper<'a> {
                 app,
                 placement,
                 config.routing,
-                &mut self.lib,
+                &self.lib,
                 &config.constraints,
             )
             .expect("fast path evaluated this placement");
@@ -481,7 +481,7 @@ mod tests {
             &vopd,
             identity,
             RoutingFunction::MinPath,
-            &mut AreaPowerLibrary::new(Technology::um_0_10()),
+            &AreaPowerLibrary::new(Technology::um_0_10()),
             &Constraints::default(),
         )
         .unwrap()

@@ -63,6 +63,12 @@ impl std::fmt::Display for RoutingFunction {
 /// module's reference does.
 pub(crate) const HOP_COST: f64 = 1.0e9;
 
+/// Relative slack on link-capacity checks: a load within `1e-9` of a
+/// link's capacity is within it. The reference's `bandwidth_ok`, the
+/// split chunk assignment and the engine's overload checks all use it,
+/// so they can never drift apart.
+pub(crate) const BANDWIDTH_TOLERANCE: f64 = 1.0 + 1e-9;
+
 /// Caps keeping path enumeration tractable; quadrants of on-chip
 /// networks are small so these are rarely binding.
 pub(crate) const MAX_SPLIT_PATHS: usize = 32;
@@ -226,7 +232,7 @@ pub(crate) fn assign_chunks<'e>(
             let mut bottleneck = 0.0f64;
             for &e in edges {
                 let would_be = local[e] + chunk;
-                over |= would_be > capacity_of(e) * (1.0 + 1e-9);
+                over |= would_be > capacity_of(e) * BANDWIDTH_TOLERANCE;
                 bottleneck = bottleneck.max(would_be);
             }
             *rank = (over, edges.len(), bottleneck);

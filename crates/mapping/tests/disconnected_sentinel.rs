@@ -101,13 +101,13 @@ fn table_greedy_matches_reference_on_disconnected_graph() {
     let mapping = Mapper::new(&g, &app, MapperConfig::default())
         .run()
         .expect("3 cores fit the connected island");
-    let mut lib = AreaPowerLibrary::new(Technology::um_0_10());
+    let lib = AreaPowerLibrary::new(Technology::um_0_10());
     let reference = evaluate(
         &g,
         &app,
         mapping.placement().clone(),
         RoutingFunction::MinPath,
-        &mut lib,
+        &lib,
         &Constraints::default(),
     )
     .expect("winner re-evaluates");
@@ -129,13 +129,13 @@ fn cross_island_commodities_error_identically() {
     let routing = RoutingFunction::MinPath;
     let mut table = RouteTable::new(&g);
     table.prepare(&g, routing);
-    let mut lib = AreaPowerLibrary::new(Technology::um_0_10());
+    let lib = AreaPowerLibrary::new(Technology::um_0_10());
     let constraints = Constraints::default();
-    let engine = EvalEngine::new(&g, &app, &table, routing, &mut lib, &constraints);
+    let engine = EvalEngine::new(&g, &app, &table, routing, &lib, &constraints);
     let mut scratch = engine.new_scratch();
 
     let fast = engine.evaluate_report(&placement, &mut scratch);
-    let reference = evaluate(&g, &app, placement, routing, &mut lib, &constraints);
+    let reference = evaluate(&g, &app, placement, routing, &lib, &constraints);
     match (fast, reference) {
         (
             Err(MappingError::Unroutable { src: fs, dst: fd }),

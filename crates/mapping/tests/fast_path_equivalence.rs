@@ -96,16 +96,9 @@ fn reference_search(
     usize,
 ) {
     let mut observed = Vec::new();
-    let mut lib = AreaPowerLibrary::new(Technology::um_0_10());
+    let lib = AreaPowerLibrary::new(Technology::um_0_10());
     let initial = Mapper::new(g, app, config).greedy_placement();
-    let mut best = match evaluate(
-        g,
-        app,
-        initial,
-        config.routing,
-        &mut lib,
-        &config.constraints,
-    ) {
+    let mut best = match evaluate(g, app, initial, config.routing, &lib, &config.constraints) {
         Ok(eval) => eval,
         Err(e) => return (Err(e), observed, 0),
     };
@@ -120,14 +113,9 @@ fn reference_search(
                 if !candidate.swap_nodes(nodes[i], nodes[j]) {
                     continue;
                 }
-                let Ok(eval) = evaluate(
-                    g,
-                    app,
-                    candidate,
-                    config.routing,
-                    &mut lib,
-                    &config.constraints,
-                ) else {
+                let Ok(eval) =
+                    evaluate(g, app, candidate, config.routing, &lib, &config.constraints)
+                else {
                     continue;
                 };
                 observed.push(eval.report.clone());
@@ -187,8 +175,8 @@ proptest! {
 
         let mut table = RouteTable::new(&g);
         table.prepare(&g, routing);
-        let mut lib = AreaPowerLibrary::new(Technology::um_0_10());
-        let engine = EvalEngine::new(&g, &app, &table, routing, &mut lib, &constraints);
+        let lib = AreaPowerLibrary::new(Technology::um_0_10());
+        let engine = EvalEngine::new(&g, &app, &table, routing, &lib, &constraints);
         let mut scratch = engine.new_scratch();
 
         let fast = engine.evaluate_report(&placement, &mut scratch);
@@ -197,7 +185,7 @@ proptest! {
             &app,
             placement.clone(),
             routing,
-            &mut lib,
+            &lib,
             &constraints,
         );
         match (fast, reference) {
@@ -217,7 +205,7 @@ proptest! {
         // polluted by the first (lazy resets are per-call).
         let placement2 = random_placement(&g, cores, seed ^ 0xABCD_EF01);
         let fast2 = engine.evaluate_report(&placement2, &mut scratch).ok();
-        let ref2 = evaluate(&g, &app, placement2, routing, &mut lib, &constraints)
+        let ref2 = evaluate(&g, &app, placement2, routing, &lib, &constraints)
             .ok()
             .map(|e| e.report);
         prop_assert_eq!(fast2, ref2);
@@ -559,13 +547,13 @@ fn min_path_matches_reference_past_the_hop_weight() {
     for g in builders::standard_library(16, 500.0).expect("library builds") {
         let mut table = RouteTable::new(&g);
         table.prepare(&g, routing);
-        let mut lib = AreaPowerLibrary::new(Technology::um_0_10());
-        let engine = EvalEngine::new(&g, &app, &table, routing, &mut lib, &constraints);
+        let lib = AreaPowerLibrary::new(Technology::um_0_10());
+        let engine = EvalEngine::new(&g, &app, &table, routing, &lib, &constraints);
         let mut scratch = engine.new_scratch();
         for seed in 0..4 {
             let placement = random_placement(&g, 16, seed);
             let fast = engine.evaluate_report(&placement, &mut scratch).ok();
-            let reference = evaluate(&g, &app, placement, routing, &mut lib, &constraints)
+            let reference = evaluate(&g, &app, placement, routing, &lib, &constraints)
                 .ok()
                 .map(|e| e.report);
             assert_eq!(fast, reference, "{} seed {seed}", g.kind());

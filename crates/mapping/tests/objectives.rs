@@ -96,11 +96,11 @@ fn routing_freedom_orders_max_link_load_on_fixed_placement() {
     let g = builders::mesh(3, 4, 500.0).unwrap();
     let app = benchmarks::mpeg4();
     let placement = Placement::new(g.mappable_nodes()[..12].to_vec(), &g).unwrap();
-    let mut lib = AreaPowerLibrary::new(Technology::um_0_10());
+    let lib = AreaPowerLibrary::new(Technology::um_0_10());
     let relaxed = Constraints::relaxed_bandwidth();
     let mut loads = Vec::new();
     for rf in RoutingFunction::ALL {
-        let eval = evaluate(&g, &app, placement.clone(), rf, &mut lib, &relaxed).unwrap();
+        let eval = evaluate(&g, &app, placement.clone(), rf, &lib, &relaxed).unwrap();
         loads.push(eval.report.max_link_load);
     }
     assert!(
@@ -188,13 +188,13 @@ fn evaluation_is_objective_independent() {
     let g = builders::mesh(3, 3, 500.0).unwrap();
     let app = benchmarks::dsp_filter();
     let placement = Placement::new(g.mappable_nodes()[..6].to_vec(), &g).unwrap();
-    let mut lib = AreaPowerLibrary::new(Technology::um_0_10());
+    let lib = AreaPowerLibrary::new(Technology::um_0_10());
     let e1 = evaluate(
         &g,
         &app,
         placement.clone(),
         RoutingFunction::MinPath,
-        &mut lib,
+        &lib,
         &Constraints::default(),
     )
     .unwrap();
@@ -203,7 +203,7 @@ fn evaluation_is_objective_independent() {
         &app,
         placement,
         RoutingFunction::MinPath,
-        &mut lib,
+        &lib,
         &Constraints::default(),
     )
     .unwrap();

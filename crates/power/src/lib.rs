@@ -14,16 +14,17 @@
 //! * [`switch_area`] / [`switch_energy_per_bit`] are the analytical
 //!   models.
 //! * [`WireModel`] gives per-millimetre link energy.
-//! * [`AreaPowerLibrary`] memoises model evaluations per configuration,
-//!   playing the role of the paper's pre-generated "area-power
-//!   libraries for various switch configurations".
+//! * [`AreaPowerLibrary`] bundles a technology node with a wire model
+//!   and evaluates the models per configuration, playing the role of
+//!   the paper's pre-generated "area-power libraries for various switch
+//!   configurations".
 //!
 //! # Examples
 //!
 //! ```
 //! use sunmap_power::{AreaPowerLibrary, SwitchConfig, Technology};
 //!
-//! let mut lib = AreaPowerLibrary::new(Technology::um_0_10());
+//! let lib = AreaPowerLibrary::new(Technology::um_0_10());
 //! let five_by_five = SwitchConfig::symmetric(5);
 //! let four_by_four = SwitchConfig::symmetric(4);
 //! // Bigger switches cost more area and more energy per bit.

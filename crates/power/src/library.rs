@@ -1,52 +1,37 @@
-//! Memoised area-power library.
-
-use std::collections::BTreeMap;
+//! The area-power library: one technology node and one wire model.
 
 use crate::{switch_area, switch_energy_per_bit, SwitchConfig, Technology, WireModel};
 
-/// A per-technology library of evaluated switch configurations — the
-/// paper's "area-power libraries for various switch configurations for
-/// different technology parameters", generated on demand and memoised.
+/// A per-technology area-power library — the paper's "area-power
+/// libraries for various switch configurations for different technology
+/// parameters". Each query evaluates the closed-form model for the
+/// configuration it is given; nothing is stored between queries.
 ///
 /// # Examples
 ///
 /// ```
-/// use sunmap_power::{AreaPowerLibrary, SwitchConfig, Technology};
+/// use sunmap_power::{switch_area, AreaPowerLibrary, SwitchConfig, Technology};
 ///
-/// let mut lib = AreaPowerLibrary::new(Technology::um_0_10());
+/// let lib = AreaPowerLibrary::new(Technology::um_0_10());
 /// let cfg = SwitchConfig::symmetric(4);
-/// let a1 = lib.area(cfg);
-/// let a2 = lib.area(cfg); // served from the library
-/// assert_eq!(a1, a2);
+/// assert_eq!(lib.area(cfg), switch_area(cfg, Technology::um_0_10()));
 /// ```
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Copy)]
 pub struct AreaPowerLibrary {
     tech: Technology,
     wire: WireModel,
-    areas: BTreeMap<SwitchConfig, f64>,
-    energies: BTreeMap<SwitchConfig, f64>,
 }
 
 impl AreaPowerLibrary {
     /// Creates a library for the given technology with the default wire
     /// model.
     pub fn new(tech: Technology) -> Self {
-        AreaPowerLibrary {
-            tech,
-            wire: WireModel::default(),
-            areas: BTreeMap::new(),
-            energies: BTreeMap::new(),
-        }
+        Self::with_wire_model(tech, WireModel::default())
     }
 
     /// Creates a library with an explicit wire model.
     pub fn with_wire_model(tech: Technology, wire: WireModel) -> Self {
-        AreaPowerLibrary {
-            tech,
-            wire,
-            areas: BTreeMap::new(),
-            energies: BTreeMap::new(),
-        }
+        AreaPowerLibrary { tech, wire }
     }
 
     /// The library's technology node.
@@ -59,45 +44,32 @@ impl AreaPowerLibrary {
         self.wire
     }
 
-    /// Area of a switch configuration in mm² (memoised).
-    pub fn area(&mut self, cfg: SwitchConfig) -> f64 {
-        let tech = self.tech;
-        *self
-            .areas
-            .entry(cfg)
-            .or_insert_with(|| switch_area(cfg, tech))
+    /// Area of a switch configuration in mm².
+    pub fn area(&self, cfg: SwitchConfig) -> f64 {
+        switch_area(cfg, self.tech)
     }
 
-    /// Bit-traversal energy of a switch configuration in joules
-    /// (memoised).
-    pub fn energy_per_bit(&mut self, cfg: SwitchConfig) -> f64 {
-        let tech = self.tech;
-        *self
-            .energies
-            .entry(cfg)
-            .or_insert_with(|| switch_energy_per_bit(cfg, tech))
+    /// Bit-traversal energy of a switch configuration in joules.
+    pub fn energy_per_bit(&self, cfg: SwitchConfig) -> f64 {
+        switch_energy_per_bit(cfg, self.tech)
     }
 
     /// Power of a switch carrying `traffic_mbs` MB/s, in mW.
-    pub fn switch_power(&mut self, cfg: SwitchConfig, traffic_mbs: f64) -> f64 {
-        switch_power_from_energy(self.energy_per_bit(cfg), traffic_mbs)
+    pub fn switch_power(&self, cfg: SwitchConfig, traffic_mbs: f64) -> f64 {
+        crate::switch_power(cfg, self.tech, traffic_mbs)
     }
 
     /// Power of a link of `length_mm` carrying `traffic_mbs` MB/s, in mW.
     pub fn link_power(&self, traffic_mbs: f64, length_mm: f64) -> f64 {
         crate::link_power(self.wire, self.tech, traffic_mbs, length_mm)
     }
-
-    /// Number of distinct configurations evaluated so far.
-    pub fn entries(&self) -> usize {
-        self.areas.len().max(self.energies.len())
-    }
 }
 
-/// Switch power (mW) from a precomputed bit-traversal energy — the
-/// exact expression [`AreaPowerLibrary::switch_power`] evaluates,
-/// factored out so callers that cache `energy_per_bit` (the mapping
-/// engine's fast path) cannot drift from the library's formula.
+/// Switch power (mW) from a precomputed bit-traversal energy: the one
+/// switch-power formula. [`switch_power`](crate::switch_power) and
+/// [`AreaPowerLibrary::switch_power`] evaluate it, and callers that
+/// cache `energy_per_bit` (the mapping engine's fast path) call it
+/// directly, so none can drift from another.
 pub fn switch_power_from_energy(energy_per_bit: f64, traffic_mbs: f64) -> f64 {
     energy_per_bit * traffic_mbs * 8.0e6 * 1.0e3
 }
@@ -107,24 +79,12 @@ mod tests {
     use super::*;
 
     #[test]
-    fn memoisation_is_transparent() {
-        let mut lib = AreaPowerLibrary::new(Technology::um_0_10());
-        let cfg = SwitchConfig::symmetric(6);
-        assert_eq!(lib.entries(), 0);
-        let a = lib.area(cfg);
-        assert_eq!(lib.entries(), 1);
-        assert_eq!(lib.area(cfg), a);
-        assert_eq!(lib.entries(), 1);
-        assert_eq!(a, crate::switch_area(cfg, Technology::um_0_10()));
-    }
-
-    #[test]
     fn switch_power_matches_free_function() {
-        let mut lib = AreaPowerLibrary::new(Technology::um_0_10());
+        let lib = AreaPowerLibrary::new(Technology::um_0_10());
         let cfg = SwitchConfig::symmetric(5);
         let via_lib = lib.switch_power(cfg, 750.0);
         let direct = crate::switch_power(cfg, Technology::um_0_10(), 750.0);
-        assert!((via_lib - direct).abs() < 1e-9);
+        assert_eq!(via_lib, direct);
     }
 
     #[test]

@@ -111,8 +111,7 @@ pub fn switch_energy_per_bit(cfg: SwitchConfig, tech: Technology) -> f64 {
 /// assert!((switch_power(SwitchConfig::symmetric(5), t, 2000.0) - 2.0 * p).abs() < 1e-9);
 /// ```
 pub fn switch_power(cfg: SwitchConfig, tech: Technology, traffic_mbs: f64) -> f64 {
-    let bits_per_s = traffic_mbs * 1.0e6 * 8.0;
-    switch_energy_per_bit(cfg, tech) * bits_per_s * 1.0e3 // W -> mW
+    crate::switch_power_from_energy(switch_energy_per_bit(cfg, tech), traffic_mbs)
 }
 
 #[cfg(test)]

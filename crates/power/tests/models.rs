@@ -58,7 +58,7 @@ fn area_is_linear_in_flit_width() {
 #[test]
 fn library_is_consistent_with_free_functions_across_configs() {
     let t = Technology::um_0_18();
-    let mut lib = AreaPowerLibrary::new(t);
+    let lib = AreaPowerLibrary::new(t);
     for p in 2..=8 {
         for (inp, outp) in [(p, p), (p, p + 1), (p + 1, p)] {
             let cfg = SwitchConfig::new(inp, outp);
@@ -66,7 +66,6 @@ fn library_is_consistent_with_free_functions_across_configs() {
             assert_eq!(lib.energy_per_bit(cfg), switch_energy_per_bit(cfg, t));
         }
     }
-    assert!(lib.entries() >= 21);
 }
 
 #[test]

@@ -14,9 +14,11 @@
 # way. Results land in target/bench-ab/{parent,change} and
 # perfbench/compare.py prints its verdicts. The sunmap-bench-record/1
 # record, shaped like BENCH_15.json but with `traced` a list with one
-# entry per workload, goes to FILE (default target/bench-ab/record.json);
-# an existing FILE for the same parent gains the new entries instead,
-# and one for another parent stops the script before it builds anything.
+# entry per workload, goes to FILE (default
+# target/bench-ab/record-<first 12 hex digits of PARENT>.json, so an A/B
+# of another parent never meets it); an existing FILE for the same
+# parent gains the new entries instead, and one for another parent
+# stops the script before it builds anything.
 # Each run clears only the previous run's results, logs and verdicts, so
 # a record under target/bench-ab survives to be appended to. The export
 # is removed on exit.
@@ -65,7 +67,7 @@ build_cmd=$(bench 'c = b["command"][:b["command"].index("--")]; c[c.index("run")
 
 out=$root/target/bench-ab
 tree=$out/parent-tree
-record=${record:-$out/record.json}
+record=${record:-$out/record-$(printf %.12s "$parent_commit").json}
 # An existing record of another parent cannot take this run's entries:
 # refuse before anything is cleared, exported or built.
 if [ -f "$record" ]; then

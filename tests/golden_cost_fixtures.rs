@@ -17,7 +17,7 @@
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use sunmap::mapping::{Constraints, MappingError, RouteTable};
+use sunmap::mapping::{Constraints, CostReport, MappingError, RouteTable};
 use sunmap::sim::{RoutePlan, SimConfig, SimEngine, SimSession};
 use sunmap::topology::{builders, paths};
 use sunmap::traffic::benchmarks;
@@ -294,114 +294,173 @@ fn scale_tier_mappings_match_the_pinned_goldens() {
     }
 }
 
-/// One pinned pruning outcome: `synth:seed=7,cores=32` on one library
-/// topology under MinPower / MP at 500 MB/s links. With 32 mappable
-/// vertices the default search is the delta-pruned one, so the number
-/// of candidates it evaluates pins its pruning, including on the
-/// butterfly, whose search ends infeasible and prunes only through the
-/// mid-routing max-load exit.
+/// One pinned delta-pruned search: a `synth:seed=<cores>` app on one
+/// library topology at 500 MB/s links with strict constraints. Above
+/// 24 mappable vertices the default search is the delta-pruned one, so
+/// the reports it observes pin its pruning, including on topologies
+/// whose search ends infeasible and prunes only through the mid-routing
+/// max-load exit.
 struct PruneFixture {
     kind: &'static str,
     /// Candidate reports `run_observed` saw (the greedy seed included).
     observed: usize,
+    /// [`report_digest`] of those reports, in the order seen.
+    digest: u64,
     /// `Ok` of the feasible winner's objective metric (`power_mw`
     /// under MinPower, `avg_hops` under MinDelay), or
     /// `Err(max_link_load)` of the least-infeasible mapping.
     outcome: Result<f64, f64>,
 }
 
-/// Captured in a release build; the test also runs in the debug
-/// tier-1 suite, so any debug/release divergence fails it.
-const PRUNE_FIXTURES: &[PruneFixture] = &[
+const fn pf(
+    kind: &'static str,
+    observed: usize,
+    digest: u64,
+    outcome: Result<f64, f64>,
+) -> PruneFixture {
     PruneFixture {
-        kind: "Mesh",
-        observed: 330,
-        outcome: Ok(2189.388936617785),
-    },
-    PruneFixture {
-        kind: "Torus",
-        observed: 4,
-        outcome: Ok(2206.7052872467502),
-    },
-    PruneFixture {
-        kind: "Hypercube",
-        observed: 13,
-        outcome: Ok(2779.054252434318),
-    },
-    PruneFixture {
-        kind: "Clos",
-        observed: 643,
-        outcome: Ok(3295.23984236653),
-    },
-    PruneFixture {
-        kind: "Butterfly",
-        observed: 1740,
-        outcome: Err(985.532951968849),
-    },
+        kind,
+        observed,
+        digest,
+        outcome,
+    }
+}
+
+/// FNV-1a, folding in the bits of each observed report's `avg_hops`,
+/// `power_mw`, `max_link_load` and `floorplan_area`.
+fn report_digest(hash: u64, report: &CostReport) -> u64 {
+    [
+        report.avg_hops,
+        report.power_mw,
+        report.max_link_load,
+        report.floorplan_area,
+    ]
+    .iter()
+    .flat_map(|v| v.to_bits().to_le_bytes())
+    .fold(hash, |h, b| {
+        (h ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3)
+    })
+}
+
+/// Runs the search of `app` on `g` under `config` and checks it against
+/// `f`: the observed count, the digest of every observed report and the
+/// outcome.
+fn assert_search_matches(
+    g: &TopologyGraph,
+    app: &CoreGraph,
+    config: MapperConfig,
+    f: &PruneFixture,
+) {
+    assert_eq!(g.kind().name(), f.kind, "library order drifted");
+    let ctx = format!("{} / {}", f.kind, config.routing);
+    let mut observed = 0usize;
+    let mut digest = 0xcbf2_9ce4_8422_2325;
+    let outcome = match Mapper::new(g, app, config).run_observed(|r| {
+        observed += 1;
+        digest = report_digest(digest, r);
+    }) {
+        Ok(mapping) => {
+            assert_eq!(mapping.evaluated_candidates(), observed, "{ctx}");
+            let report = mapping.report();
+            Ok(if config.objective == Objective::MinPower {
+                report.power_mw
+            } else {
+                report.avg_hops
+            })
+        }
+        Err(MappingError::NoFeasibleMapping(best)) => Err(best.max_link_load),
+        Err(e) => panic!("{ctx}: unexpected error {e}"),
+    };
+    println!("{ctx}: {observed} candidates, digest {digest:#018x}, {outcome:?}");
+    assert_eq!(observed, f.observed, "{ctx}: candidate count drifted");
+    assert_eq!(digest, f.digest, "{ctx}: observed reports drifted");
+    assert_eq!(outcome, f.outcome, "{ctx}: outcome drifted");
+}
+
+/// `synth:seed=7,cores=32` under MinPower, per routing function, in
+/// library order. Captured in a release build; the test also runs in
+/// the debug tier-1 suite, so any debug/release divergence fails it.
+const PRUNE_FIXTURES: &[(RoutingFunction, [PruneFixture; 5])] = &[
+    (
+        RoutingFunction::DimensionOrdered,
+        [
+            pf("Mesh", 483, 0x7f860f6bcbcaa3de, Err(541.7089844989297)),
+            pf("Torus", 423, 0xf571c39a757c0e53, Ok(2301.556757912213)),
+            pf("Hypercube", 399, 0xa2ba9892b243703e, Ok(2819.8123006806527)),
+            pf("Clos", 1396, 0xaf779f0550236269, Err(732.8258164143833)),
+            pf("Butterfly", 1740, 0xe0e7ad36fa4d346a, Err(985.532951968849)),
+        ],
+    ),
+    (
+        RoutingFunction::MinPath,
+        [
+            pf("Mesh", 330, 0xdec7c19bc0248c25, Ok(2189.388936617785)),
+            pf("Torus", 4, 0x87d77cf8f930aea7, Ok(2206.7052872467502)),
+            pf("Hypercube", 13, 0xb099d2567a28fb9c, Ok(2779.054252434318)),
+            pf("Clos", 643, 0x7674ca2432e609fa, Ok(3295.23984236653)),
+            pf("Butterfly", 1740, 0xe0e7ad36fa4d346a, Err(985.532951968849)),
+        ],
+    ),
+    (
+        RoutingFunction::SplitMinPaths,
+        [
+            pf("Mesh", 469, 0xc8376ce912870394, Ok(2174.7986530445924)),
+            pf("Torus", 4, 0x3726313dd02a9a9b, Ok(2206.8074615935498)),
+            pf("Hypercube", 20, 0xa10f2680b9c61b8b, Ok(2761.4240205783526)),
+            pf("Clos", 727, 0xbe4f73f1229439b9, Ok(3261.1247372373846)),
+            pf("Butterfly", 1740, 0xe0e7ad36fa4d346a, Err(985.532951968849)),
+        ],
+    ),
+    (
+        RoutingFunction::SplitAllPaths,
+        [
+            pf("Mesh", 309, 0x2c6a2ba3bd8dfddc, Ok(2178.1608976710563)),
+            pf("Torus", 4, 0xa93fcc0587c2b229, Ok(2212.469586972485)),
+            pf("Hypercube", 21, 0xa7fbf12261d924a9, Ok(2753.5806391702936)),
+            pf("Clos", 727, 0xbe4f73f1229439b9, Ok(3261.1247372373846)),
+            pf("Butterfly", 1740, 0xe0e7ad36fa4d346a, Err(985.532951968849)),
+        ],
+    ),
 ];
 
 #[test]
 fn pruning_counters_match_the_pinned_goldens() {
     let app = scale_app(32);
     let library = builders::standard_library(32, 500.0).expect("library builds");
-    assert_eq!(library.len(), PRUNE_FIXTURES.len());
-    for (g, f) in library.iter().zip(PRUNE_FIXTURES) {
-        assert_eq!(g.kind().name(), f.kind, "library order drifted");
-        let config = MapperConfig {
-            routing: RoutingFunction::MinPath,
-            objective: Objective::MinPower,
-            ..MapperConfig::default()
-        };
-        let mut observed = 0usize;
-        let outcome = match Mapper::new(g, &app, config).run_observed(|_| observed += 1) {
-            Ok(mapping) => {
-                assert_eq!(mapping.evaluated_candidates(), observed, "{}", f.kind);
-                Ok(mapping.report().power_mw)
-            }
-            Err(MappingError::NoFeasibleMapping(best)) => Err(best.max_link_load),
-            Err(e) => panic!("{}: unexpected error {e}", f.kind),
-        };
-        assert_eq!(observed, f.observed, "{}: candidate count drifted", f.kind);
-        assert_eq!(outcome, f.outcome, "{}: outcome drifted", f.kind);
+    for (routing, fixtures) in PRUNE_FIXTURES {
+        assert_eq!(library.len(), fixtures.len());
+        for (g, f) in library.iter().zip(fixtures) {
+            let config = MapperConfig {
+                routing: *routing,
+                objective: Objective::MinPower,
+                ..MapperConfig::default()
+            };
+            assert_search_matches(g, &app, config, f);
+        }
     }
 }
 
 /// The MinPath scale smoke: `synth:seed=7,cores=128` explored under
 /// MinDelay / MP at 500 MB/s links, the lazy-table regime in which
-/// four of the five topologies end infeasible. Each topology's
-/// outcome and candidate count are pinned, as [`PRUNE_FIXTURES`] does
-/// at 32 cores. The
+/// four of the five topologies end infeasible. Each topology's search
+/// is pinned as [`PRUNE_FIXTURES`] pins them at 32 cores. The
 /// run takes 15–16 s in release on a 2-vCPU box, so `make scale-smoke`
 /// opts in through `SUNMAP_SCALE_SMOKE=1`, under the bound
-/// [`MP_SMOKE_SECS`]. Captured in a release build that routed every
-/// MinPath commodity with the heap-based `paths::dijkstra_into`, the
-/// level search's oracle.
+/// [`MP_SMOKE_SECS`]. Counts and outcomes were captured in a release
+/// build that routed every MinPath commodity with the heap-based
+/// `paths::dijkstra_into`, the level search's oracle; the digests in a
+/// later release build that reproduced them.
 const MP_SCALE_FIXTURES: &[PruneFixture] = &[
-    PruneFixture {
-        kind: "Mesh",
-        observed: 373,
-        outcome: Err(796.8364817914647),
-    },
-    PruneFixture {
-        kind: "Torus",
-        observed: 904,
-        outcome: Err(646.0785716954762),
-    },
-    PruneFixture {
-        kind: "Hypercube",
-        observed: 361,
-        outcome: Ok(2.7697985011853308),
-    },
-    PruneFixture {
-        kind: "Clos",
-        observed: 683,
-        outcome: Err(589.6919303759391),
-    },
-    PruneFixture {
-        kind: "Butterfly",
-        observed: 7400,
-        outcome: Err(2190.390433345309),
-    },
+    pf("Mesh", 373, 0xf3928a8fb8b200d1, Err(796.8364817914647)),
+    pf("Torus", 904, 0xad1c35ce758a244c, Err(646.0785716954762)),
+    pf("Hypercube", 361, 0x8b2522f633be8b6a, Ok(2.7697985011853308)),
+    pf("Clos", 683, 0x7e484af73917201c, Err(589.6919303759391)),
+    pf(
+        "Butterfly",
+        7400,
+        0x5951725f7bd13902,
+        Err(2190.390433345309),
+    ),
 ];
 
 /// Wall-clock bound of the MinPath scale smoke, about four times its
@@ -419,24 +478,12 @@ fn min_path_scale_smoke_pins_the_128_core_explore() {
     assert_eq!(library.len(), MP_SCALE_FIXTURES.len());
     let start = Instant::now();
     for (g, f) in library.iter().zip(MP_SCALE_FIXTURES) {
-        assert_eq!(g.kind().name(), f.kind, "library order drifted");
         let config = MapperConfig {
             routing: RoutingFunction::MinPath,
             objective: Objective::MinDelay,
             ..MapperConfig::default()
         };
-        let mut observed = 0usize;
-        let outcome = match Mapper::new(g, &app, config).run_observed(|_| observed += 1) {
-            Ok(mapping) => {
-                assert_eq!(mapping.evaluated_candidates(), observed, "{}", f.kind);
-                Ok(mapping.report().avg_hops)
-            }
-            Err(MappingError::NoFeasibleMapping(best)) => Err(best.max_link_load),
-            Err(e) => panic!("{}: unexpected error {e}", f.kind),
-        };
-        println!("{}: {observed} candidates, {outcome:?}", f.kind);
-        assert_eq!(observed, f.observed, "{}: candidate count drifted", f.kind);
-        assert_eq!(outcome, f.outcome, "{}: outcome drifted", f.kind);
+        assert_search_matches(g, &app, config, f);
     }
     let elapsed = start.elapsed();
     println!("128-core MinPath smoke took {elapsed:.1?}");

@@ -75,9 +75,9 @@ proptest! {
         prop_assume!(app.core_count() <= g.mappable_nodes().len());
         let placement = Placement::new(
             g.mappable_nodes()[..app.core_count()].to_vec(), &g).unwrap();
-        let mut lib = AreaPowerLibrary::new(Technology::um_0_10());
+        let lib = AreaPowerLibrary::new(Technology::um_0_10());
         let routing = RoutingFunction::ALL[routing_idx];
-        let eval = evaluate(&g, &app, placement, routing, &mut lib,
+        let eval = evaluate(&g, &app, placement, routing, &lib,
                             &Constraints::relaxed_bandwidth()).unwrap();
         let mut expected = vec![0.0f64; g.edge_count()];
         for r in &eval.routes {
@@ -142,11 +142,11 @@ proptest! {
         prop_assume!(app.core_count() <= 9);
         let placement = Placement::new(
             g.mappable_nodes()[..app.core_count()].to_vec(), &g).unwrap();
-        let mut lib = AreaPowerLibrary::new(Technology::um_0_10());
+        let lib = AreaPowerLibrary::new(Technology::um_0_10());
         let mp = evaluate(&g, &app, placement.clone(), RoutingFunction::MinPath,
-                          &mut lib, &Constraints::relaxed_bandwidth()).unwrap();
+                          &lib, &Constraints::relaxed_bandwidth()).unwrap();
         let sa = evaluate(&g, &app, placement, RoutingFunction::SplitAllPaths,
-                          &mut lib, &Constraints::relaxed_bandwidth()).unwrap();
+                          &lib, &Constraints::relaxed_bandwidth()).unwrap();
         let chunk = app.commodities().first().map(|c| c.bandwidth).unwrap_or(0.0) / 16.0;
         let bound = mp.report.max_link_load.max(500.0) + chunk + 1e-6;
         prop_assert!(sa.report.max_link_load <= bound,
@@ -171,9 +171,9 @@ proptest! {
         prop_assume!(app.core_count() <= g.mappable_nodes().len());
         let placement = Placement::new(
             g.mappable_nodes()[..app.core_count()].to_vec(), g).unwrap();
-        let mut pw = AreaPowerLibrary::new(Technology::um_0_10());
+        let pw = AreaPowerLibrary::new(Technology::um_0_10());
         let eval = evaluate(g, &app, placement, RoutingFunction::MinPath,
-                            &mut pw, &Constraints::relaxed_bandwidth()).unwrap();
+                            &pw, &Constraints::relaxed_bandwidth()).unwrap();
         let fp = &eval.floorplan;
         let blocks = fp.blocks();
         for (i, a) in blocks.iter().enumerate() {
@@ -221,9 +221,9 @@ proptest! {
         prop_assume!(app.core_count() <= 16);
         let placement = Placement::new(
             g.mappable_nodes()[..app.core_count()].to_vec(), &g).unwrap();
-        let mut lib = AreaPowerLibrary::new(Technology::um_0_10());
+        let lib = AreaPowerLibrary::new(Technology::um_0_10());
         let eval = evaluate(&g, &app, placement, RoutingFunction::MinPath,
-                            &mut lib, &Constraints::relaxed_bandwidth()).unwrap();
+                            &lib, &Constraints::relaxed_bandwidth()).unwrap();
         for r in &eval.routes {
             prop_assert!((r.hops - 2.0).abs() < 1e-9,
                 "butterfly hop count must be the stage count");
